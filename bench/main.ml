@@ -353,12 +353,9 @@ let lookup_target mult ~emit_json =
   (* reference and compiled tables over the identical route set *)
   let lpm = Cfca_trie.Lpm.create () in
   List.iter (fun (p, v) -> Cfca_trie.Lpm.add lpm p v) routes;
-  let dir24 = Cfca_trie.Flat_lpm.build ~variant:`Dir ~root_bits:24 routes in
-  let pop16 = Cfca_trie.Flat_lpm.build ~variant:`Poptrie ~root_bits:16 routes in
-  Printf.printf "flat-dir24: %d entries, %.1f MB; flat-pop16: %.2f MB\n"
-    (Cfca_trie.Flat_lpm.entries dir24)
-    (float_of_int (Cfca_trie.Flat_lpm.memory_words dir24) *. 8e-6)
-    (float_of_int (Cfca_trie.Flat_lpm.memory_words pop16) *. 8e-6);
+  let dir24 = Cfca_trie.Flat_lpm.build ~root_bits:24 routes in
+  Printf.printf "flat-dir24: %.1f MB\n"
+    (float_of_int (Cfca_trie.Flat_lpm.memory_words dir24) *. 8e-6);
   (* the end-to-end pipeline view: control-plane tree + compiled snapshot *)
   let rm = Cfca_core.Route_manager.create ~default_nh () in
   Cfca_core.Route_manager.load rm (Rib.to_seq rib);
@@ -389,7 +386,6 @@ let lookup_target mult ~emit_json =
   in
   let divergences =
     check_against_lpm ~name:"flat-dir24" lpm dir24 boundary_probes
-    + check_against_lpm ~name:"flat-pop16" lpm pop16 boundary_probes
   in
   (* independent oracle (shares no code with either trie): linear-scan
      LPM over a bounded probe subsample — O(routes) per probe *)
@@ -428,7 +424,7 @@ let lookup_target mult ~emit_json =
     (Array.append warm (Array.sub cold 0 16384));
   let divergences = divergences + oracle_div + !snap_div in
   let probes_total =
-    (2 * List.length boundary_probes)
+    List.length boundary_probes
     + List.length oracle_probes
     + Array.length warm + 16384
   in
@@ -448,7 +444,6 @@ let lookup_target mult ~emit_json =
       ("lpm-pointer", fun a -> ignore (Cfca_trie.Lpm.lookup lpm a));
       ("lpm-value", fun a -> ignore (Cfca_trie.Lpm.lookup_value lpm a));
       ("flat-dir24", fun a -> ignore (Cfca_trie.Flat_lpm.lookup dir24 a));
-      ("flat-pop16", fun a -> ignore (Cfca_trie.Flat_lpm.lookup pop16 a));
       ("bintrie-walk", fun a -> ignore (Cfca_trie.Bintrie.lookup_in_fib tree a));
       ( "snapshot",
         fun a -> ignore (Cfca_dataplane.Fib_snapshot.lookup snap tree a) );
@@ -1009,12 +1004,13 @@ let mt_lookup_target mult ~emit_json ~domain_counts ~min_speedup =
     [ (Cfca_sim.Mt_engine.Warm, "warm"); (Cfca_sim.Mt_engine.Cold, "cold") ];
   (* -- writer-side republish latency: patch a copy of the current
         compiled generation vs compile the full cover from scratch.
-        The plane is pinned to a /24 root stride so the /24-heavy
-        churn patches in place; bursts whose delta carries longer
-        fresh more-specifics refuse the patch and fall back, so both
-        paths are measured on the same coalesced stream. Bursts whose
-        net delta is empty are skipped — the no-change republish is a
-        record allocation and would flatter the patched mean. -- *)
+        Every burst is published both ways: [publish_delta] on the
+        patched plane and a full [publish] of the same cover on a
+        second plane, so each side is timed on the same coalesced
+        stream without disturbing the other. Both planes use a /24
+        root stride. Bursts whose net delta is empty are skipped —
+        the no-change republish is a record allocation and would
+        flatter the patched mean. -- *)
   let republish =
     let default_nh = Nexthop.of_int 33 in
     let spec = Cfca_traffic.Trace.make ~packets:0 ~updates:[||] () in
@@ -1049,10 +1045,11 @@ let mt_lookup_target mult ~emit_json ~domain_counts ~min_speedup =
           Hashtbl.add changed_tbl p ();
           changed := p :: !changed
         end);
-    let plane =
-      Cfca_mt.Plane.create ~root_bits:24 ~readers:1 ~default_nh
-        (Cfca_dataplane.Fib_snapshot.cover tree)
+    let cover0 = Cfca_dataplane.Fib_snapshot.cover tree in
+    let new_plane () =
+      Cfca_mt.Plane.create ~root_bits:24 ~readers:1 ~default_nh cover0
     in
+    let plane = new_plane () and full_plane = new_plane () in
     let resolve addr =
       let nd = Cfca_trie.Bintrie.lookup_in_fib tree addr in
       if Cfca_trie.Bintrie.is_nil nd then Cfca_trie.Flat_lpm.miss
@@ -1065,6 +1062,11 @@ let mt_lookup_target mult ~emit_json ~domain_counts ~min_speedup =
     let co = Cfca_core.Coalesce.create ~expect:burst () in
     let patched = ref 0 and full = ref 0 in
     let patched_s = ref 0.0 and full_s = ref 0.0 in
+    let timed f =
+      let t0 = Unix.gettimeofday () in
+      ignore (f ());
+      Unix.gettimeofday () -. t0
+    in
     for b = 0 to bursts - 1 do
       for i = b * burst to ((b + 1) * burst) - 1 do
         Cfca_core.Coalesce.add co churn.(i)
@@ -1075,20 +1077,21 @@ let mt_lookup_target mult ~emit_json ~domain_counts ~min_speedup =
       if !changed <> [] then begin
         let cover = Cfca_dataplane.Fib_snapshot.cover tree in
         let before = Cfca_mt.Plane.patched_publishes plane in
-        let t0 = Unix.gettimeofday () in
-        ignore (Cfca_mt.Plane.publish_delta plane ~changed:!changed ~resolve cover);
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt =
+          timed (fun () ->
+              Cfca_mt.Plane.publish_delta plane ~changed:!changed ~resolve cover)
+        in
+        (* a refused patch fell back to a full compile: not a patch sample *)
         if Cfca_mt.Plane.patched_publishes plane > before then begin
           incr patched;
           patched_s := !patched_s +. dt
-        end
-        else begin
-          incr full;
-          full_s := !full_s +. dt
         end;
         (* a single idle reader: every retired generation frees at once,
            bounding the 2^24-slot root arrays alive between bursts *)
-        ignore (Cfca_mt.Plane.collect plane)
+        ignore (Cfca_mt.Plane.collect plane);
+        incr full;
+        full_s := !full_s +. timed (fun () -> Cfca_mt.Plane.publish full_plane cover);
+        ignore (Cfca_mt.Plane.collect full_plane)
       end
     done;
     let mean s n = if n = 0 then 0.0 else s *. 1e6 /. float_of_int n in

@@ -1072,7 +1072,6 @@ let mt domains routes lookups updates seed =
       mode = M.Warm;
       seed;
       sample_every = 17;
-      coalesce = true;
       verify_publish = true;
     }
   in

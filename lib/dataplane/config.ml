@@ -16,8 +16,6 @@ type t = {
   dram_threshold : int;
   l2_threshold : int;
   victim_policy : victim_policy;
-  snapshot_rebuild_after : int;
-  snapshot_patch_budget : int;
 }
 
 let default =
@@ -32,8 +30,6 @@ let default =
     dram_threshold = 100;
     l2_threshold = 300;
     victim_policy = Lthd_policy;
-    snapshot_rebuild_after = 64;
-    snapshot_patch_budget = 4096;
   }
 
 let make ?(base = default) ~l1_capacity ~l2_capacity () =
@@ -49,17 +45,12 @@ let validate t =
     t.dram_threshold_initial <= 0 || t.l2_threshold_initial <= 0
     || t.dram_threshold <= 0 || t.l2_threshold <= 0
   then Error "thresholds must be positive"
-  else if t.snapshot_rebuild_after < 0 then
-    Error "snapshot_rebuild_after must be non-negative"
-  else if t.snapshot_patch_budget < 0 then
-    Error "snapshot_patch_budget must be non-negative"
   else Ok ()
 
 let pp ppf t =
   Format.fprintf ppf
     "L1=%d L2=%d LTHD=%dx%d window=%.0fs thresholds=%d/%d warmup=%d/%d \
-     victims=%s snapshot=%d/%d"
+     victims=%s"
     t.l1_capacity t.l2_capacity t.lthd_stages t.lthd_width t.threshold_window
     t.dram_threshold t.l2_threshold t.dram_threshold_initial
     t.l2_threshold_initial (policy_name t.victim_policy)
-    t.snapshot_rebuild_after t.snapshot_patch_budget

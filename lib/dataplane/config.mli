@@ -26,13 +26,6 @@ type t = {
       (** DRAM -> L2 threshold once L2 is full (paper: 100/min). *)
   l2_threshold : int;  (** L2 -> L1 threshold once L1 is full (paper: 300/min). *)
   victim_policy : victim_policy;  (** cache-victim selection (paper: LTHD). *)
-  snapshot_rebuild_after : int;
-      (** Dirty lookups tolerated before the compiled FIB snapshot
-          refreshes (see {!Fib_snapshot.create}; default 64). *)
-  snapshot_patch_budget : int;
-      (** Root cells an in-place snapshot patch may rewrite before
-          falling back to a full recompile (default 4096; 0 disables
-          patching). *)
 }
 
 val default : t

@@ -20,27 +20,9 @@ type stats = {
   patched_cells : int;
 }
 
-(* Per-domain hit accounting: one padded cell per lookup domain, so
-   concurrent readers of a clean snapshot never contend on a shared
-   counter cache line. The pad fields spread adjacent cells across
-   lines (a cell is 8 words + header). Only the cells are per-domain —
-   the dirty/rebuild machinery below stays single-writer. *)
-type cell = {
-  mutable c_fast_hits : int;
-  mutable c_fallbacks : int;
-  mutable c_pad2 : int;
-  mutable c_pad3 : int;
-  mutable c_pad4 : int;
-  mutable c_pad5 : int;
-  mutable c_pad6 : int;
-  mutable c_pad7 : int;
-}
-
 type t = {
-  rebuild_after : int;
   patch_budget : int;
-  root_bits : int option;
-  cells : cell array;  (* one per domain *)
+  root_bits : int;
   mutable nodes : Bintrie.node array;  (* payload i of [flat] -> node *)
   mutable node_count : int;  (* used prefix of [nodes] *)
   mutable nodes_baseline : int;  (* [node_count] at the last full compile *)
@@ -55,6 +37,8 @@ type t = {
   mutable patches : int;
   mutable full_rebuilds : int;
   mutable patched_cells : int;
+  mutable fast_hits : int;
+  mutable fallbacks : int;
 }
 
 (* Distinct changed prefixes tracked before giving up on patching.
@@ -63,36 +47,22 @@ type t = {
    bound before the refresh even runs. *)
 let delta_cap = 1024
 
-let fresh_cell () =
-  {
-    c_fast_hits = 0;
-    c_fallbacks = 0;
-    c_pad2 = 0;
-    c_pad3 = 0;
-    c_pad4 = 0;
-    c_pad5 = 0;
-    c_pad6 = 0;
-    c_pad7 = 0;
-  }
+(* Dirty lookups tolerated before a lazy refresh: an update burst pays
+   one tree walk per packet briefly instead of a rebuild per update. *)
+let rebuild_after = 64
 
-let create ?(rebuild_after = 64) ?(patch_budget = 4096) ?root_bits
-    ?(domains = 1) () =
-  if rebuild_after < 0 then invalid_arg "Fib_snapshot.create: rebuild_after";
+let create ?(patch_budget = 4096) ?(root_bits = 16) () =
   if patch_budget < 0 then invalid_arg "Fib_snapshot.create: patch_budget";
-  (match root_bits with
-  | Some rb when rb < 8 || rb > 24 ->
-      invalid_arg "Fib_snapshot.create: root_bits"
-  | _ -> ());
-  if domains < 1 then invalid_arg "Fib_snapshot.create: domains < 1";
+  if root_bits < 8 || root_bits > 24 then
+    invalid_arg "Fib_snapshot.create: root_bits";
   {
-    rebuild_after;
     patch_budget;
     root_bits;
-    cells = Array.init domains (fun _ -> fresh_cell ());
     nodes = [||];
     node_count = 0;
     nodes_baseline = 0;
-    flat = Flat_lpm.build [];
+    (* placeholder: the first refresh (epoch 0) always compiles in full *)
+    flat = Flat_lpm.build ~root_bits:8 [];
     dirty = true;
     dirty_lookups = 0;
     delta = PH.create 64;
@@ -103,9 +73,9 @@ let create ?(rebuild_after = 64) ?(patch_budget = 4096) ?root_bits
     patches = 0;
     full_rebuilds = 0;
     patched_cells = 0;
+    fast_hits = 0;
+    fallbacks = 0;
   }
-
-let domains t = Array.length t.cells
 
 let mark_dirty t =
   if not t.dirty then begin
@@ -130,11 +100,6 @@ let invalidate_prefix t p =
   end;
   mark_dirty t
 
-let build_flat t prefixes =
-  match t.root_bits with
-  | None -> Flat_lpm.build prefixes
-  | Some root_bits -> Flat_lpm.build ~variant:`Dir ~root_bits prefixes
-
 let full_refresh t tree =
   let acc = ref [] in
   let n = ref 0 in
@@ -158,7 +123,7 @@ let full_refresh t tree =
   t.nodes <- nodes;
   t.node_count <- !n;
   t.nodes_baseline <- !n;
-  t.flat <- build_flat t prefixes;
+  t.flat <- Flat_lpm.build ~root_bits:t.root_bits prefixes;
   t.full_rebuilds <- t.full_rebuilds + 1
 
 (* Register a node as a flat payload, appending a fresh index. A node
@@ -201,7 +166,6 @@ let refresh t tree =
     t.epoch > 0 && t.patch_budget > 0
     && (not t.delta_overflow)
     && PH.length t.delta > 0
-    && Flat_lpm.variant t.flat = Flat_lpm.Dir
     (* patches append duplicate payload indices; recompile (compacting
        the payload table) once they have doubled it *)
     && t.node_count <= (2 * t.nodes_baseline) + 1024
@@ -241,47 +205,38 @@ let rec walk_in_fib tree node addr =
       in
       if Bintrie.is_nil c then raise Not_found else walk_in_fib tree c addr
 
-let lookup_domain t ~domain tree addr =
-  let cell = t.cells.(domain) in
+let lookup t tree addr =
   if t.dirty then begin
     t.dirty_lookups <- t.dirty_lookups + 1;
-    if t.dirty_lookups > t.rebuild_after then begin
+    if t.dirty_lookups > rebuild_after then begin
       refresh t tree;
       t.rebuilds <- t.rebuilds + 1
     end
   end;
   if t.dirty then begin
-    cell.c_fallbacks <- cell.c_fallbacks + 1;
+    t.fallbacks <- t.fallbacks + 1;
     walk_in_fib tree (Bintrie.root tree) addr
   end
   else
     let r = Flat_lpm.lookup t.flat addr in
     if r >= 0 then begin
-      cell.c_fast_hits <- cell.c_fast_hits + 1;
+      t.fast_hits <- t.fast_hits + 1;
       Array.unsafe_get t.nodes (r lsr 6)
     end
     else begin
       (* no IN_FIB coverage compiled for this address: defer to the
          authoritative tree (it will raise if coverage truly lapsed) *)
-      cell.c_fallbacks <- cell.c_fallbacks + 1;
+      t.fallbacks <- t.fallbacks + 1;
       walk_in_fib tree (Bintrie.root tree) addr
     end
 
-let lookup t tree addr = lookup_domain t ~domain:0 tree addr
-
 let stats t =
-  let fast_hits = ref 0 and fallbacks = ref 0 in
-  Array.iter
-    (fun c ->
-      fast_hits := !fast_hits + c.c_fast_hits;
-      fallbacks := !fallbacks + c.c_fallbacks)
-    t.cells;
   {
     epoch = t.epoch;
     rebuilds = t.rebuilds;
     invalidations = t.invalidations;
-    fast_hits = !fast_hits;
-    fallbacks = !fallbacks;
+    fast_hits = t.fast_hits;
+    fallbacks = t.fallbacks;
     patches = t.patches;
     full_rebuilds = t.full_rebuilds;
     patched_cells = t.patched_cells;

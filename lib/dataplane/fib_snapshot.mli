@@ -14,8 +14,8 @@
     [Fib_op] that flips IN_FIB membership), or wholesale through
     {!invalidate} when the extent of the change is unknown (recovery,
     bulk reload). While dirty, {!lookup} transparently falls back to
-    walking the authoritative tree; after [rebuild_after] dirty lookups
-    it recompiles and bumps the epoch, so an update burst pays one tree
+    walking the authoritative tree; after 64 dirty lookups it
+    recompiles and bumps the epoch, so an update burst pays one tree
     walk per packet briefly instead of a rebuild per update.
 
     Incremental patching: when every change since the last compile was
@@ -27,9 +27,10 @@
     fresh spill chains appended past the live blocks (published copies
     keep the old spill array — see {!Cfca_trie.Flat_lpm.patch}). The
     patch path falls back to a full recompile whenever it cannot be
-    proven equivalent: poptrie layouts, deltas exceeding [patch_budget]
-    cells, orphaned spill chains grown past the recompile threshold,
-    overflowed delta tracking, or a payload table due for compaction.
+    proven equivalent: overflowed delta tracking, a payload table due
+    for compaction, or a {!Cfca_trie.Flat_lpm.refusal} (deltas
+    exceeding [patch_budget] cells, orphaned spill chains grown past
+    the recompile threshold).
     {!stats} separates [patches] from [full_rebuilds] so callers can
     see which path a workload takes.
 
@@ -59,32 +60,17 @@ type stats = {
   patched_cells : int;  (** Total root cells rewritten by patches. *)
 }
 
-val create :
-  ?rebuild_after:int ->
-  ?patch_budget:int ->
-  ?root_bits:int ->
-  ?domains:int ->
-  unit ->
-  t
+val create : ?patch_budget:int -> ?root_bits:int -> unit -> t
 (** A snapshot in the dirty state (no generation compiled yet).
-    [rebuild_after] (default 64) is the number of dirty lookups
-    tolerated before recompiling; it trades walk cost against rebuild
-    churn under update bursts. [patch_budget] (default 4096) caps the
-    root cells an in-place patch may rewrite before falling back to a
-    full recompile; [0] disables patching entirely (every refresh
-    recompiles, the pre-incremental behavior). [root_bits] forces the
-    compiled layout to DIR with that root stride (8–24) — prefixes
-    longer than the stride patch through appended spill chains, so the
-    stride trades the root array size ([2^root_bits] slots) against
-    how many cells a short-prefix delta covers; omitted, the layout
-    heuristic chooses (and patching only applies when it chooses DIR).
-    [domains] (default 1) sizes the per-domain hit-accounting cells:
-    each lookup domain increments its own padded cell, and {!stats}
-    merges them on read-out, so the counts stay exact without
-    shared-counter contention when several domains read a clean
-    snapshot. *)
-
-val domains : t -> int
+    [patch_budget] (default 4096) caps the root cells an in-place patch
+    may rewrite before falling back to a full recompile; [0] disables
+    patching entirely (every refresh recompiles). [root_bits] (default
+    16, range 8–24) is the root stride of the compiled
+    {!Cfca_trie.Flat_lpm}: it trades the root array size
+    ([2^root_bits] slots) against how many cells a short-prefix delta
+    covers.
+    @raise Invalid_argument if [patch_budget < 0] or [root_bits] is
+    out of range. *)
 
 val invalidate : t -> unit
 (** Mark the compiled generation stale with {e unknown} extent: delta
@@ -109,18 +95,9 @@ val lookup : t -> Bintrie.t -> Ipv4.t -> Bintrie.node
 (** The IN_FIB node covering the address. Uses the compiled structure
     when clean; walks [tree] when dirty (refreshing first once the
     dirty-lookup budget is spent). Allocation-free on the compiled
-    path. Equivalent to {!lookup_domain} with domain 0.
+    path.
     @raise Not_found if no IN_FIB node covers the address (cannot
     happen once initial aggregation has installed default coverage). *)
-
-val lookup_domain : t -> domain:int -> Bintrie.t -> Ipv4.t -> Bintrie.node
-(** {!lookup} charging the hit/fallback accounting to [domain]'s cell.
-    Concurrent use from several domains is only contention-free (and
-    only sound) on the {e clean} path: the dirty fallback and the lazy
-    rebuild mutate shared state and walk the mutable tree, so
-    multi-domain deployments publish immutable compiled generations
-    instead (see [Cfca_mt.Plane]) and keep this snapshot
-    single-writer. *)
 
 val cover : Bintrie.t -> (Prefix.t * Nexthop.t) list
 (** The tree's current forwarding cover: every IN_FIB node's prefix
@@ -131,6 +108,5 @@ val cover : Bintrie.t -> (Prefix.t * Nexthop.t) list
     invariant. *)
 
 val stats : t -> stats
-(** Cumulative counters; [fast_hits]/[fallbacks] are the sum of every
-    domain's cell, merged at read-out. [patches + full_rebuilds] is the
-    total number of generations published ([= epoch]). *)
+(** Cumulative counters. [patches + full_rebuilds] is the total number
+    of generations published ([= epoch]). *)

@@ -30,7 +30,7 @@ type t = {
   shard : Shard.t;
   default_nh : int;
   patch_budget : int;
-  root_bits : int option;
+  root_bits : int;
   (* writer-side publication accounting *)
   mutable patched_publishes : int;
   mutable full_compiles : int;
@@ -41,31 +41,27 @@ type t = {
   mutable synced_full : int;
 }
 
-let compile ~epoch ~default_nh ?root_bits routes =
-  let routes' = List.map (fun (p, nh) -> (p, Nexthop.to_int nh)) routes in
-  let flat =
-    match root_bits with
-    | None -> Cfca_trie.Flat_lpm.build routes'
-    | Some root_bits -> Cfca_trie.Flat_lpm.build ~variant:`Dir ~root_bits routes'
-  in
+let compile ~epoch ~default_nh ~root_bits routes =
   {
     g_epoch = epoch;
-    g_flat = flat;
+    g_flat =
+      Cfca_trie.Flat_lpm.build ~root_bits
+        (List.map (fun (p, nh) -> (p, Nexthop.to_int nh)) routes);
     g_routes = List.length routes;
     g_default = default_nh;
     g_live = Atomic.make true;
   }
 
-let create ?(patch_budget = 4096) ?root_bits ~readers ~default_nh routes =
+let create ?(patch_budget = 4096) ?(root_bits = 16) ~readers ~default_nh
+    routes =
   if Nexthop.is_none default_nh then
     invalid_arg "Plane.create: default next-hop must be real";
   if patch_budget < 0 then invalid_arg "Plane.create: patch_budget";
-  (match root_bits with
-  | Some b when b < 8 || b > 24 -> invalid_arg "Plane.create: root_bits"
-  | _ -> ());
+  if root_bits < 8 || root_bits > 24 then
+    invalid_arg "Plane.create: root_bits";
   let default_nh = Nexthop.to_int default_nh in
   {
-    hub = Epoch.create ~readers (compile ~epoch:0 ~default_nh ?root_bits routes);
+    hub = Epoch.create ~readers (compile ~epoch:0 ~default_nh ~root_bits routes);
     shard = Shard.create ~domains:readers ~counters:counter_count;
     default_nh;
     patch_budget;
@@ -81,7 +77,7 @@ let publish t routes =
   let epoch = Epoch.epoch t.hub + 1 in
   let e =
     Epoch.publish t.hub
-      (compile ~epoch ~default_nh:t.default_nh ?root_bits:t.root_bits routes)
+      (compile ~epoch ~default_nh:t.default_nh ~root_bits:t.root_bits routes)
   in
   assert (e = epoch);
   t.full_compiles <- t.full_compiles + 1;
@@ -101,7 +97,7 @@ let publish_delta t ~changed ~resolve routes =
         Some { cur with g_epoch = epoch; g_live = Atomic.make true }
     | _ -> (
         let cur = Epoch.current t.hub in
-        let flat = F.copy ~entries:(List.length routes) cur.g_flat in
+        let flat = F.copy cur.g_flat in
         match F.patch flat ~budget:t.patch_budget ~resolve changed with
         | Ok _ ->
             Some

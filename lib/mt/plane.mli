@@ -70,12 +70,11 @@ val create :
 (** Compile the route list as generation 0 and set up [readers] slots
     and stat rows. [patch_budget] (default 4096) caps the root cells a
     {!publish_delta} patch may rewrite before falling back to a full
-    compile; [0] disables patching. [root_bits] forces every compiled
-    generation to the DIR layout with that root stride (8–24) —
-    prefixes longer than the stride patch through appended spill
-    chains, so the stride trades the per-generation root array size
-    ([2^root_bits] slots) against how many root cells a short-prefix
-    delta covers; omitted, the layout heuristic chooses per compile.
+    compile; [0] disables patching. [root_bits] (default 16, range
+    8–24) is the root stride of every compiled generation — prefixes
+    longer than the stride patch through appended spill chains, so the
+    stride trades the per-generation root array size ([2^root_bits]
+    slots) against how many root cells a short-prefix delta covers.
     @raise Invalid_argument if [readers < 1], [patch_budget < 0],
     [root_bits] is out of range, or the default next-hop is the
     sentinel. *)
@@ -103,9 +102,9 @@ val publish_delta :
     [Flat_lpm.miss] when the cover misses (readers then fall through to
     the default next-hop). An empty [changed] republishes the current
     table under a fresh generation record without copying. Falls back
-    to {!publish} [routes] whenever the patch refuses (budget exceeded,
-    orphaned-spill growth, poptrie layout — see
-    {!Cfca_trie.Flat_lpm.patch}). Returns the new epoch. Writer-only. *)
+    to {!publish} [routes] whenever the patch refuses (any
+    {!Cfca_trie.Flat_lpm.refusal}). Returns the new epoch.
+    Writer-only. *)
 
 val patched_publishes : t -> int
 (** Publications that took the patch (or no-change) path. *)

@@ -139,10 +139,7 @@ let run_events ?(window = 100_000) ?(seed = 0x5EED)
      Install/Remove flip IN_FIB membership; Update only rewrites a
      next-hop, which the compiled node-index payloads never encode, so
      the snapshot stays clean across pure next-hop churn. *)
-  let snapshot =
-    Fib_snapshot.create ~rebuild_after:cfg.Config.snapshot_rebuild_after
-      ~patch_budget:cfg.Config.snapshot_patch_budget ()
-  in
+  let snapshot = Fib_snapshot.create () in
   let invalidate_op tr op =
     match op with
     | Fib_op.Install (n, _) | Fib_op.Remove (n, _) ->

@@ -7,9 +7,10 @@
     loads the RIB, publishes the initial compiled cover
     ({!Cfca_dataplane.Fib_snapshot.cover} →
     {!Cfca_mt.Plane.publish}), spawns the reader domains, and then
-    applies the configured BGP churn — republishing a fresh generation
-    after every update burst and collecting retired generations once
-    every reader has moved past their epoch. Readers pin a generation
+    applies the configured BGP churn — each burst folded through
+    {!Cfca_core.Coalesce} to its net delta and republished as a fresh
+    generation — and collects retired generations once every reader
+    has moved past their epoch. Readers pin a generation
     per batch and answer their private, seeded address stream
     (zipf-weighted members of routed prefixes in [Warm] mode, uniform
     addresses in [Cold]) with allocation-free flat lookups, recording
@@ -44,12 +45,6 @@ type config = {
   mode : mode;
   seed : int;
   sample_every : int;  (** Audit sampling stride; 0 disables the audit. *)
-  coalesce : bool;
-      (** Fold each burst through {!Cfca_core.Coalesce} before applying
-          it: the trie sees only the net per-prefix delta. The cover at
-          each publish point is unchanged (last action wins), so the
-          audit and every published generation are identical either
-          way — only the control-plane work shrinks. *)
   verify_publish : bool;
       (** Differentially gate every publication: the published
           (possibly patched) table is probed against a fresh compile of
@@ -62,7 +57,7 @@ type config = {
 val default_config : config
 (** 2 domains, 200k lookups each in batches of 256, 200 updates
     republished every 8, warm, seed 0x5EED, audit every 251st lookup,
-    coalescing on, publish verification off. *)
+    publish verification off. *)
 
 type domain_stats = {
   d_lookups : int;  (** Locally counted lookups (always = [lookups]). *)
@@ -93,7 +88,7 @@ type result = {
   mt_coalesced_seen : int;  (** Raw updates folded into the coalescer. *)
   mt_coalesced_emitted : int;
       (** Net updates that survived coalescing ([seen - emitted] were
-          absorbed). Zero when [coalesce] is off. *)
+          absorbed). *)
   mt_publish_checks : int;  (** Probes run by the publish gate. *)
   mt_publish_divergences : int;
       (** Patched-vs-fresh mismatches; must be 0. *)

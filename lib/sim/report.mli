@@ -134,7 +134,7 @@ type mt_row = {
     publication vs a from-scratch compile of the same covers. *)
 type republish_stats = {
   mr_patched : int;  (** publications that patched the previous table *)
-  mr_full : int;  (** publications that compiled the full cover *)
+  mr_full : int;  (** full compiles of the same covers, timed alongside *)
   mr_patched_us : float;  (** mean microseconds per patched publish *)
   mr_full_us : float;  (** mean microseconds per full compile *)
 }

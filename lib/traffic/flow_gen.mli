@@ -4,9 +4,11 @@
 
     A fixed pool of flow slots is maintained; each emitted packet comes
     from a random slot, and an exhausted slot is reseeded with a fresh
-    flow: a destination prefix drawn from a Zipf over a seeded random
-    permutation of the RIB's prefixes, a uniformly random host address
-    inside it, and a geometrically distributed train length. The
+    flow: a destination prefix drawn from a Zipf over a seeded ranking
+    of the RIB's prefixes, a uniformly random host address inside it,
+    and a geometrically distributed train length. The ranking clusters
+    popularity by /12 region: regions are ordered pseudo-randomly, and
+    each region's prefixes take adjacent ranks in pseudo-random order. The
     generator is deterministic for a given seed, so every system under
     comparison replays the identical packet sequence. *)
 

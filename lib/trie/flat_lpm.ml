@@ -13,9 +13,7 @@ let result_length r = r land 0x3F
 (* Array slots hold [encoded + 1] so that 0 means "no covering prefix";
    negative slots are pointers: [-(index + 1)] into the next level. *)
 
-type variant = Dir | Poptrie
-
-type dir = {
+type t = {
   d_root_bits : int;
   d_pad : int;  (* zero-padding bits so 8-bit levels never under-shift *)
   d_root : int array;
@@ -23,34 +21,9 @@ type dir = {
   d_spill_base : int;  (* spill length at build time (orphan accounting) *)
 }
 
-type pop = {
-  p_root_bits : int;
-  p_pad : int;
-  p_root : int array;
-  p_nodes : int array;  (* 4 words per node: vec, leafvec, child base, leaf base *)
-  p_leaves : int array;
-}
+type refusal = Over_budget | Orphaned_spill
 
-type repr = Dir_repr of dir | Pop_repr of pop
-
-type t = { repr : repr; built_from : int }
-
-let variant t = match t.repr with Dir_repr _ -> Dir | Pop_repr _ -> Poptrie
-
-let entries t = t.built_from
-
-let memory_words t =
-  match t.repr with
-  | Dir_repr d -> Array.length d.d_root + Array.length d.d_spill
-  | Pop_repr p ->
-      Array.length p.p_root + Array.length p.p_nodes + Array.length p.p_leaves
-
-(* popcount for values of at most 32 bits (the poptrie bitmaps) *)
-let popcount x =
-  let x = x - ((x lsr 1) land 0x5555_5555) in
-  let x = (x land 0x3333_3333) + ((x lsr 2) land 0x3333_3333) in
-  let x = (x + (x lsr 4)) land 0x0F0F_0F0F in
-  (x * 0x0101_0101) lsr 24 land 0xFF
+let memory_words t = Array.length t.d_root + Array.length t.d_spill
 
 (* -- growable int buffer (build-time only) -------------------------- *)
 
@@ -95,16 +68,12 @@ let fresh () = { res = -1; zero = None; one = None }
 
 let build_trie prefixes =
   let root = fresh () in
-  let count = ref 0 in
   List.iter
     (fun (p, v) ->
       if v < 0 then invalid_arg "Flat_lpm.build: negative payload";
       let len = Prefix.length p in
       let rec go n depth =
-        if depth = len then begin
-          if n.res < 0 then incr count;
-          n.res <- encode ~value:v ~length:len
-        end
+        if depth = len then n.res <- encode ~value:v ~length:len
         else begin
           let right = Prefix.bit p depth in
           let c =
@@ -120,34 +89,11 @@ let build_trie prefixes =
       in
       go root 0)
     prefixes;
-  (root, !count)
+  root
 
 let is_bleaf n = n.zero == None && n.one == None
 
-(* Fill the [2^k] slots starting at [off] of the direct-indexed root
-   from the subtree [n], leaf-pushing [inherited] (the encoded result
-   of the longest enclosing bound prefix, -1 if none) into uncovered
-   ranges. Stride boundaries that still have deeper prefixes get
-   whatever pointer [on_subtree] compiles them into. *)
-let fill_root root k0 node on_subtree =
-  let rec fill off k n inherited =
-    let inherited = if n.res >= 0 then n.res else inherited in
-    if k = 0 then
-      if is_bleaf n then root.(off) <- inherited + 1
-      else root.(off) <- on_subtree n inherited
-    else begin
-      let half = 1 lsl (k - 1) in
-      (match n.zero with
-      | Some c -> fill off (k - 1) c inherited
-      | None -> Array.fill root off half (inherited + 1));
-      match n.one with
-      | Some c -> fill (off + half) (k - 1) c inherited
-      | None -> Array.fill root (off + half) half (inherited + 1)
-    end
-  in
-  fill 0 k0 node (-1)
-
-(* -- DIR-24-8 compilation ------------------------------------------- *)
+(* -- DIR compilation ------------------------------------------------ *)
 
 let rec fill_spill spill off k n inherited =
   let inherited = if n.res >= 0 then n.res else inherited in
@@ -175,19 +121,40 @@ let rec fill_spill spill off k n inherited =
         done
   end
 
-let build_dir ~root_bits node =
-  let levels = (32 - root_bits + 7) / 8 in
-  let pad = root_bits + (8 * levels) - 32 in
-  let root = Array.make (1 lsl root_bits) 0 in
-  let spill = Gbuf.create 1024 in
-  fill_root root root_bits node (fun n inherited ->
+(* Fill the [2^k] root slots starting at [off] from the subtree [n],
+   leaf-pushing [inherited] (the encoded result of the longest enclosing
+   bound prefix, -1 if none) into uncovered ranges. Root cells that
+   still have deeper prefixes point at a fresh spill chain. *)
+let rec fill_root root spill off k n inherited =
+  let inherited = if n.res >= 0 then n.res else inherited in
+  if k = 0 then
+    if is_bleaf n then root.(off) <- inherited + 1
+    else begin
       let b = Gbuf.reserve spill 256 lsr 8 in
       fill_spill spill (b lsl 8) 8 n inherited;
-      -(b + 1));
+      root.(off) <- -(b + 1)
+    end
+  else begin
+    let half = 1 lsl (k - 1) in
+    (match n.zero with
+    | Some c -> fill_root root spill off (k - 1) c inherited
+    | None -> Array.fill root off half (inherited + 1));
+    match n.one with
+    | Some c -> fill_root root spill (off + half) (k - 1) c inherited
+    | None -> Array.fill root (off + half) half (inherited + 1)
+  end
+
+let build ?(root_bits = 16) prefixes =
+  if root_bits < 8 || root_bits > 24 then
+    invalid_arg "Flat_lpm.build: root_bits outside [8, 24]";
+  let levels = (32 - root_bits + 7) / 8 in
+  let root = Array.make (1 lsl root_bits) 0 in
+  let spill = Gbuf.create 1024 in
+  fill_root root spill 0 root_bits (build_trie prefixes) (-1);
   let spill = Gbuf.contents spill in
   {
     d_root_bits = root_bits;
-    d_pad = pad;
+    d_pad = root_bits + (8 * levels) - 32;
     d_root = root;
     d_spill = spill;
     d_spill_base = Array.length spill;
@@ -200,246 +167,98 @@ let rec dir_find spill a e shift =
       (Array.unsafe_get spill ((((-e) - 1) lsl 8) + ((a lsr shift) land 0xFF)))
       (shift - 8)
 
-let lookup_dir d addr =
-  let a = addr lsl d.d_pad in
-  let e = Array.unsafe_get d.d_root (a lsr (32 + d.d_pad - d.d_root_bits)) in
-  if e >= 0 then e - 1
-  else dir_find d.d_spill a e (32 + d.d_pad - d.d_root_bits - 8)
-
-(* -- poptrie compilation -------------------------------------------- *)
-
-let pop_stride = 5
-
-let pop_slots = 1 lsl pop_stride (* 32: bitmaps fit a native int *)
-
-(* Compile the subtree [n] into the (already reserved) node slot [idx]:
-   expand it to 32 five-bit chunks, pack leaf runs (deduplicated against
-   their left neighbour, poptrie's leafvec trick) and recurse into the
-   chunks that still hold deeper prefixes. Children are reserved
-   contiguously before recursing so a popcount over [vec] locates
-   them. *)
-let rec build_pop_node nodes leaves idx n inherited =
-  let inherited = if n.res >= 0 then n.res else inherited in
-  let child = Array.make pop_slots None in
-  let child_inh = Array.make pop_slots (-1) in
-  let leaf_res = Array.make pop_slots (-1) in
-  for v = 0 to pop_slots - 1 do
-    let rec step n res i =
-      let res = if n.res >= 0 then n.res else res in
-      if i = pop_stride then if is_bleaf n then (None, res) else (Some n, res)
-      else
-        let bit = (v lsr (pop_stride - 1 - i)) land 1 = 1 in
-        match (if bit then n.one else n.zero) with
-        | Some c -> step c res (i + 1)
-        | None -> (None, res)
-    in
-    let c, res = step n inherited 0 in
-    match c with
-    | Some _ ->
-        child.(v) <- c;
-        child_inh.(v) <- res
-    | None -> leaf_res.(v) <- res
-  done;
-  let vec = ref 0 and leafvec = ref 0 in
-  let run_values = ref [] and n_runs = ref 0 in
-  let prev_leaf = ref false and prev_val = ref min_int in
-  for v = 0 to pop_slots - 1 do
-    match child.(v) with
-    | Some _ ->
-        vec := !vec lor (1 lsl v);
-        prev_leaf := false
-    | None ->
-        let r = leaf_res.(v) in
-        if (not !prev_leaf) || r <> !prev_val then begin
-          leafvec := !leafvec lor (1 lsl v);
-          run_values := r :: !run_values;
-          incr n_runs
-        end;
-        prev_leaf := true;
-        prev_val := r
-  done;
-  let base0 = Gbuf.reserve leaves !n_runs in
-  List.iteri
-    (fun i r -> Gbuf.set leaves (base0 + !n_runs - 1 - i) (r + 1))
-    !run_values;
-  let n_children = popcount !vec in
-  let base1 = Gbuf.reserve nodes (4 * n_children) lsr 2 in
-  Gbuf.set nodes (4 * idx) !vec;
-  Gbuf.set nodes ((4 * idx) + 1) !leafvec;
-  Gbuf.set nodes ((4 * idx) + 2) base1;
-  Gbuf.set nodes ((4 * idx) + 3) base0;
-  let ci = ref base1 in
-  for v = 0 to pop_slots - 1 do
-    match child.(v) with
-    | Some c ->
-        build_pop_node nodes leaves !ci c child_inh.(v);
-        incr ci
-    | None -> ()
-  done
-
-let build_pop ~root_bits node =
-  let levels = (32 - root_bits + pop_stride - 1) / pop_stride in
-  let pad = root_bits + (pop_stride * levels) - 32 in
-  let root = Array.make (1 lsl root_bits) 0 in
-  let nodes = Gbuf.create 256 in
-  let leaves = Gbuf.create 256 in
-  fill_root root root_bits node (fun n inherited ->
-      let idx = Gbuf.reserve nodes 4 lsr 2 in
-      build_pop_node nodes leaves idx n inherited;
-      -(idx + 1));
-  ignore (Gbuf.length nodes);
-  {
-    p_root_bits = root_bits;
-    p_pad = pad;
-    p_root = root;
-    p_nodes = Gbuf.contents nodes;
-    p_leaves = Gbuf.contents leaves;
-  }
-
-let rec pop_find nodes leaves a idx shift =
-  let v = (a lsr shift) land (pop_slots - 1) in
-  let base = idx lsl 2 in
-  let vec = Array.unsafe_get nodes base in
-  let below = (1 lsl (v + 1)) - 1 in
-  if vec land (1 lsl v) <> 0 then
-    pop_find nodes leaves a
-      (Array.unsafe_get nodes (base + 2) + popcount (vec land below) - 1)
-      (shift - pop_stride)
-  else
-    let lv = Array.unsafe_get nodes (base + 1) in
-    Array.unsafe_get leaves
-      (Array.unsafe_get nodes (base + 3) + popcount (lv land below) - 1)
-    - 1
-
-let lookup_pop p addr =
-  let a = addr lsl p.p_pad in
-  let e = Array.unsafe_get p.p_root (a lsr (32 + p.p_pad - p.p_root_bits)) in
-  if e >= 0 then e - 1
-  else
-    pop_find p.p_nodes p.p_leaves a
-      ((-e) - 1)
-      (32 + p.p_pad - p.p_root_bits - pop_stride)
-
-(* -- public interface ----------------------------------------------- *)
-
-let build ?(variant = `Auto) ?(root_bits = 16) prefixes =
-  if root_bits < 8 || root_bits > 24 then
-    invalid_arg "Flat_lpm.build: root_bits outside [8, 24]";
-  let node, count = build_trie prefixes in
-  let repr =
-    match variant with
-    | `Dir -> Dir_repr (build_dir ~root_bits node)
-    | `Poptrie -> Pop_repr (build_pop ~root_bits node)
-    | `Auto ->
-        (* A flat root pays off when slots are reasonably utilised;
-           sparse tables get the bitmap-compressed layout with a
-           smaller direct-point root. *)
-        if 1 lsl root_bits <= 64 * max 256 count then
-          Dir_repr (build_dir ~root_bits node)
-        else Pop_repr (build_pop ~root_bits:(min root_bits 13) node)
-  in
-  { repr; built_from = count }
-
 let lookup t addr =
-  match t.repr with
-  | Dir_repr d -> lookup_dir d (Ipv4.to_int addr)
-  | Pop_repr p -> lookup_pop p (Ipv4.to_int addr)
+  let a = Ipv4.to_int addr lsl t.d_pad in
+  let e = Array.unsafe_get t.d_root (a lsr (32 + t.d_pad - t.d_root_bits)) in
+  if e >= 0 then e - 1
+  else dir_find t.d_spill a e (32 + t.d_pad - t.d_root_bits - 8)
 
-(* -- in-place patching (DIR root cells only) ------------------------ *)
+(* -- in-place patching (root cells only) ---------------------------- *)
 
-let copy ?entries t =
-  let built_from = match entries with Some n -> n | None -> t.built_from in
-  match t.repr with
-  | Dir_repr d ->
-      (* The spill array is shared with the source snapshot: [patch]
-         never rewrites existing blocks, it only swaps in an extended
-         copy of the array when a re-pushed cell needs fresh ones, so
-         the source keeps answering from its own reference untouched. *)
-      { repr = Dir_repr { d with d_root = Array.copy d.d_root }; built_from }
-  | Pop_repr _ -> { t with built_from }
+(* The spill array is shared with the source table: [patch] never
+   rewrites existing blocks, it only swaps in an extended copy of the
+   array when a re-pushed cell needs fresh ones, so the source keeps
+   answering from its own reference untouched. *)
+let copy t = { t with d_root = Array.copy t.d_root }
 
 let patch t ~budget ~resolve changed =
-  match t.repr with
-  | Pop_repr _ -> Error "poptrie layout is never patched"
-  | Dir_repr d -> (
-      let rb = d.d_root_bits in
-      let shift = 32 - rb in
-      let exception Refuse of string in
-      try
-        (* Cells re-pushed away from their old spill blocks orphan
-           them (blocks are append-only so shared generations stay
-           valid); once the orphans have doubled the build-time spill,
-           force a recompile to compact it. *)
-        if Array.length d.d_spill > (2 * d.d_spill_base) + 65_536 then
-          raise (Refuse "orphaned spill blocks need a recompile");
-        (* Each changed prefix covers an aligned run of independently
-           writable root cells — a single cell when it is longer than
-           the root stride. Merge the runs (nested deltas overlap)
-           before budgeting. *)
-        let ranges =
-          List.map
-            (fun p ->
-              let len = Prefix.length p in
-              ( Ipv4.to_int (Prefix.network p) lsr shift,
-                if len >= rb then 1 else 1 lsl (rb - len) ))
-            changed
-        in
-        let ranges = List.sort compare ranges in
-        let merged =
-          List.fold_left
-            (fun acc (lo, n) ->
-              match acc with
-              | (plo, pn) :: rest when lo <= plo + pn ->
-                  (plo, max pn (lo + n - plo)) :: rest
-              | _ -> (lo, n) :: acc)
-            [] ranges
-        in
-        let cells = List.fold_left (fun acc (_, n) -> acc + n) 0 merged in
-        if cells > budget then raise (Refuse "patch budget exceeded");
-        (* Re-leaf-push each cell from the authoritative resolver,
-           compiling fresh spill chains for cells that still hold
-           prefixes longer than the root stride. The resolver's encoded
-           match length lets uniform ranges be recognised from a single
-           probe (the common, leaf-only case), so a cell costs one
-           probe per leaf run under it. *)
-        let pad = d.d_pad in
-        let cell_bits = 32 + pad - rb in
-        let base_blocks = Array.length d.d_spill lsr 8 in
-        let gb = Gbuf.create 256 in
-        (* probe at padded address [pa]: the result holds for the rest
-           of the matched prefix's aligned run (one address on miss) *)
-        let probe pa =
-          let r = resolve (Ipv4.of_int (pa lsr pad)) in
-          let s = if r < 0 then pad else 32 + pad - result_length r in
-          (r, ((pa lsr s) + 1) lsl s)
-        in
-        let rec fill pa bits =
-          let r0, run0 = probe pa in
-          if run0 >= pa + (1 lsl bits) then r0 + 1
-          else begin
-            let b = Gbuf.reserve gb 256 lsr 8 in
-            let sub = bits - 8 in
-            for v = 0 to 255 do
-              Gbuf.set gb ((b lsl 8) + v) (fill (pa + (v lsl sub)) sub)
-            done;
-            -(base_blocks + b + 1)
-          end
-        in
-        (* compile every cell before touching the table, then install
-           the extended spill before the root pointers into it *)
-        let writes =
-          List.concat_map
-            (fun (lo, n) ->
-              List.init n (fun k ->
-                  let i = lo + k in
-                  (i, fill (i lsl cell_bits) cell_bits)))
-            merged
-        in
-        if Gbuf.length gb > 0 then
-          d.d_spill <- Array.append d.d_spill (Gbuf.contents gb);
-        List.iter (fun (i, e) -> Array.unsafe_set d.d_root i e) writes;
-        Ok cells
-      with Refuse msg -> Error msg)
+  let rb = t.d_root_bits in
+  let shift = 32 - rb in
+  let exception Refuse of refusal in
+  try
+    (* Cells re-pushed away from their old spill blocks orphan them
+       (blocks are append-only so shared generations stay valid); once
+       the orphans have doubled the build-time spill, force a recompile
+       to compact it. *)
+    if Array.length t.d_spill > (2 * t.d_spill_base) + 65_536 then
+      raise (Refuse Orphaned_spill);
+    (* Each changed prefix covers an aligned run of independently
+       writable root cells — a single cell when it is longer than the
+       root stride. Merge the runs (nested deltas overlap) before
+       budgeting. *)
+    let ranges =
+      List.map
+        (fun p ->
+          let len = Prefix.length p in
+          ( Ipv4.to_int (Prefix.network p) lsr shift,
+            if len >= rb then 1 else 1 lsl (rb - len) ))
+        changed
+    in
+    let ranges = List.sort compare ranges in
+    let merged =
+      List.fold_left
+        (fun acc (lo, n) ->
+          match acc with
+          | (plo, pn) :: rest when lo <= plo + pn ->
+              (plo, max pn (lo + n - plo)) :: rest
+          | _ -> (lo, n) :: acc)
+        [] ranges
+    in
+    let cells = List.fold_left (fun acc (_, n) -> acc + n) 0 merged in
+    if cells > budget then raise (Refuse Over_budget);
+    (* Re-leaf-push each cell from the authoritative resolver, compiling
+       fresh spill chains for cells that still hold prefixes longer than
+       the root stride. The resolver's encoded match length lets uniform
+       ranges be recognised from a single probe (the common, leaf-only
+       case), so a cell costs one probe per leaf run under it. *)
+    let pad = t.d_pad in
+    let cell_bits = 32 + pad - rb in
+    let base_blocks = Array.length t.d_spill lsr 8 in
+    let gb = Gbuf.create 256 in
+    (* probe at padded address [pa]: the result holds for the rest of
+       the matched prefix's aligned run (one address on miss) *)
+    let probe pa =
+      let r = resolve (Ipv4.of_int (pa lsr pad)) in
+      let s = if r < 0 then pad else 32 + pad - result_length r in
+      (r, ((pa lsr s) + 1) lsl s)
+    in
+    let rec fill pa bits =
+      let r0, run0 = probe pa in
+      if run0 >= pa + (1 lsl bits) then r0 + 1
+      else begin
+        let b = Gbuf.reserve gb 256 lsr 8 in
+        let sub = bits - 8 in
+        for v = 0 to 255 do
+          Gbuf.set gb ((b lsl 8) + v) (fill (pa + (v lsl sub)) sub)
+        done;
+        -(base_blocks + b + 1)
+      end
+    in
+    (* compile every cell before touching the table, then install the
+       extended spill before the root pointers into it *)
+    let writes =
+      List.concat_map
+        (fun (lo, n) ->
+          List.init n (fun k ->
+              let i = lo + k in
+              (i, fill (i lsl cell_bits) cell_bits)))
+        merged
+    in
+    if Gbuf.length gb > 0 then
+      t.d_spill <- Array.append t.d_spill (Gbuf.contents gb);
+    List.iter (fun (i, e) -> Array.unsafe_set t.d_root i e) writes;
+    Ok cells
+  with Refuse r -> Error r
 
 let find_value t addr =
   let r = lookup t addr in

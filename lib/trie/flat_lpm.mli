@@ -1,25 +1,17 @@
-(** Compiled, cache-friendly longest-prefix-match structures.
+(** Compiled, cache-friendly longest-prefix-match table.
 
     {!Lpm} is the mutable, authoritative view: a pointer-chasing binary
     trie whose per-lookup cost is one dependent load per prefix bit —
     exactly the access pattern that defeats CPU caches on real
-    forwarding tables. [Flat_lpm] is the compiled counterpart: an
-    immutable snapshot built from a prefix set that answers lookups
-    with a handful of flat array probes and {e zero allocation}.
+    forwarding tables. [Flat_lpm] is the compiled counterpart: a
+    snapshot built from a prefix set that answers lookups with a
+    handful of flat array probes and {e zero allocation}.
 
-    Two layouts are provided behind one lookup interface:
-
-    - {b DIR-24-8 style} ([Dir]): a direct-indexed root array of
-      [2^root_bits] slots (16 or 24 bits of stride) whose entries are
-      either a sentinel-encoded result or a pointer into chained
-      256-slot spill blocks covering 8 further bits each. Lookup cost:
-      1 array read for prefixes no longer than the root stride, plus
-      one read per extra 8-bit level.
-    - {b poptrie style} ([Poptrie]): the same direct-indexed root, but
-      spill levels are bitmap-compressed multibit nodes with a 5-bit
-      stride (32-bit bitmaps fit OCaml's 63-bit native int), children
-      and deduplicated leaf runs packed contiguously and located with
-      popcounts — far denser when the covered ranges are sparse.
+    The layout is DIR-24-8 style: a direct-indexed root array of
+    [2^root_bits] slots whose entries are either a sentinel-encoded
+    result or a pointer into chained 256-slot spill blocks covering 8
+    further bits each. Lookup cost: one array read for prefixes no
+    longer than the root stride, plus one read per extra 8-bit level.
 
     Results are sentinel-encoded ints so the hot path never allocates:
     [(payload lsl 6) lor matched_length], or {!miss} ([-1]) when no
@@ -27,37 +19,30 @@
     ints (a next-hop, or an index into a node array — see
     {!Cfca_dataplane.Fib_snapshot}).
 
-    The structure is a compiled snapshot, not an updatable table — but
-    the [Dir] root cells are independently writable, so small deltas
-    can be {!patch}ed in place (re-leaf-pushing only the covered root
-    range of each changed prefix) instead of paying a full rebuild.
-    Writers keep mutating the authoritative {!Lpm}/{!Bintrie} view and
-    either patch or rebuild the snapshot when the dirty set warrants it
-    (the epoch protocol of [Fib_snapshot]); deltas that touch spill
-    blocks, exceed the patch budget, or land on a poptrie layout fall
-    back to a full rebuild. *)
+    Root cells are independently writable, so small deltas can be
+    {!patch}ed into a {!copy} instead of paying a full rebuild: each
+    changed prefix re-leaf-pushes the root cells it covers, and cells
+    that still hold prefixes longer than the root stride get fresh
+    spill chains appended past the live blocks. Writers keep mutating
+    the authoritative {!Lpm}/{!Bintrie} view and either patch or
+    rebuild the table; a patch that exceeds its cell budget, or that
+    finds the spill due for compaction, is refused and the caller
+    rebuilds. *)
 
 open Cfca_prefix
 
 type t
 
-type variant = Dir | Poptrie
-
-val build :
-  ?variant:[ `Auto | `Dir | `Poptrie ] ->
-  ?root_bits:int ->
-  (Prefix.t * int) list ->
-  t
+val build : ?root_bits:int -> (Prefix.t * int) list -> t
 (** Compile a prefix set. Later bindings of a repeated prefix win,
     matching {!Lpm.add}; nested (overlapping) prefixes are handled by
     leaf-pushing, so any prefix set is accepted — non-overlapping
     covers (the FIB snapshot case) are simply the fastest to build.
 
     [root_bits] (default 16, accepted range 8–24) is the direct-index
-    stride of the root array. [`Auto] (default) picks [`Dir] when the
-    table is dense enough to pay for the flat root
-    ([2^root_bits <= 64 * max 256 n]) and a poptrie with a smaller
-    root otherwise.
+    stride of the root array: it trades the root's size ([2^root_bits]
+    slots) against spill reads per lookup and against how many root
+    cells a short-prefix delta covers when {!patch}ed.
 
     @raise Invalid_argument on a negative payload or [root_bits]
     outside [8, 24]. *)
@@ -82,23 +67,29 @@ val result_length : int -> int
 val encode : value:int -> length:int -> int
 (** The encoding used by {!lookup} results (exposed for tests). *)
 
-val copy : ?entries:int -> t -> t
-(** A patchable duplicate: the [Dir] root array is copied, everything
-    else (spill blocks, poptrie node/leaf arrays) is shared — safe
-    because {!patch} writes root cells only and, when a re-pushed cell
-    needs fresh spill blocks, appends them to a private extended copy
-    of the spill array rather than rewriting the shared one. [entries]
-    overrides the {!entries} count of the duplicate (pass the new cover
-    size when the delta installs or removes prefixes). Patching the
-    copy never disturbs the source, so published generations stay
-    immutable. *)
+val copy : t -> t
+(** A patchable duplicate: the root array is copied, the spill blocks
+    are shared — safe because {!patch} writes root cells only and, when
+    a re-pushed cell needs fresh spill blocks, appends them to a private
+    extended copy of the spill array rather than rewriting the shared
+    one. Patching the copy never disturbs the source, so published
+    generations stay immutable. *)
+
+(** Why {!patch} declined to write. Either way the table is untouched
+    and the caller falls back to a full {!build}. *)
+type refusal =
+  | Over_budget  (** The merged delta covers more than [budget] root cells. *)
+  | Orphaned_spill
+      (** Spill blocks orphaned by earlier patches have grown the spill
+          past twice its build-time size plus 65536 words: the table is
+          due for the compaction a full {!build} performs. *)
 
 val patch :
   t ->
   budget:int ->
   resolve:(Ipv4.t -> int) ->
   Prefix.t list ->
-  (int, string) result
+  (int, refusal) result
 (** [patch t ~budget ~resolve changed] re-leaf-pushes, in place, every
     root cell covered by a changed prefix — a prefix longer than the
     root stride covers exactly its one enclosing cell. [resolve] is the
@@ -113,19 +104,10 @@ val patch :
     chain until the next full {!build} compacts the table.
 
     Returns [Ok cells] (the number of root cells rewritten, after
-    merging nested deltas). Returns [Error reason] — the caller must
-    fall back to a full {!build} — when the layout is poptrie, the
-    merged delta exceeds [budget] cells, or orphaned chains have grown
-    the spill past twice its build-time size (the signal to recompile
-    and compact). Refusals are all detected before the first write, so
-    on [Error] the table is untouched; if [resolve] raises mid-patch
-    the table must be treated as unspecified and rebuilt. *)
-
-val variant : t -> variant
-
-val entries : t -> int
-(** Number of (deduplicated) prefixes the snapshot was built from. *)
+    merging nested deltas), or [Error] with the {!refusal}. Refusals
+    are all detected before the first write, so on [Error] the table
+    is untouched; if [resolve] raises mid-patch the table must be
+    treated as unspecified and rebuilt. *)
 
 val memory_words : t -> int
-(** Total words of flat-array payload (root + spill/node/leaf arrays) —
-    the footprint the variant heuristic trades off. *)
+(** Total words of flat-array payload (root + spill blocks). *)

@@ -266,8 +266,8 @@ let prop_residency_exclusive =
 
 (* -- Fib_snapshot ---------------------------------------------------- *)
 
-let snapshot_fixture ~rebuild_after seed =
-  let snap = Fib_snapshot.create ~rebuild_after () in
+let snapshot_fixture seed =
+  let snap = Fib_snapshot.create () in
   let rm =
     Route_manager.create
       ~sink:(fun _ _ -> Fib_snapshot.invalidate snap)
@@ -291,7 +291,7 @@ let assert_agreement label snap rm st n =
   done
 
 let test_fib_snapshot_agrees () =
-  let snap, rm, st = snapshot_fixture ~rebuild_after:8 7 in
+  let snap, rm, st = snapshot_fixture 7 in
   assert_agreement "clean" snap rm st 500;
   let s = Fib_snapshot.stats snap in
   check_int "no fallbacks while clean" 0 s.Fib_snapshot.fallbacks;
@@ -299,11 +299,11 @@ let test_fib_snapshot_agrees () =
     (s.Fib_snapshot.fast_hits >= 500);
   check_int "initial generation" 1 s.Fib_snapshot.epoch;
   (* dirty protocol: fall back immediately, recompile once the dirty
-     budget (8) is spent, agree throughout *)
+     budget (64 lookups) is spent, agree throughout *)
   Fib_snapshot.invalidate snap;
-  assert_agreement "dirty" snap rm st 4;
+  assert_agreement "dirty" snap rm st 64;
   let s = Fib_snapshot.stats snap in
-  check_int "fallbacks while dirty" 4 s.Fib_snapshot.fallbacks;
+  check_int "fallbacks while dirty" 64 s.Fib_snapshot.fallbacks;
   check_int "not rebuilt inside the budget" 1 s.Fib_snapshot.epoch;
   assert_agreement "after budget" snap rm st 50;
   let s = Fib_snapshot.stats snap in
@@ -312,7 +312,7 @@ let test_fib_snapshot_agrees () =
   check_int "one dirty transition" 1 s.Fib_snapshot.invalidations
 
 let test_fib_snapshot_updates () =
-  let snap, rm, st = snapshot_fixture ~rebuild_after:4 11 in
+  let snap, rm, st = snapshot_fixture 11 in
   (* churn the FIB through the sink-wrapped control plane; the snapshot
      must keep returning exactly the node the tree walk returns, whether
      it is dirty, freshly recompiled, or untouched by a no-op update *)
@@ -441,6 +441,166 @@ let test_patch_path_allocation () =
          (Fib_snapshot.lookup snap tree a))
   done
 
+(* -- typed patch refusals ---------------------------------------- *)
+
+module Plane = Cfca_mt.Plane
+
+(* One control plane feeding both compiled tables at a /16 root stride:
+   the snapshot hears every IN_FIB flip, and the plane's delta collects
+   every changed prefix (next-hop rewrites included, since its payloads
+   are next-hops). *)
+type rig = {
+  rm : Route_manager.t;
+  snap : Fib_snapshot.t;
+  plane : Plane.t;
+  delta : (Prefix.t, unit) Hashtbl.t;
+}
+
+let refusal_rig ~patch_budget routes =
+  let snap = Fib_snapshot.create ~patch_budget ~root_bits:16 () in
+  let delta = Hashtbl.create 64 in
+  let rm =
+    Route_manager.create
+      ~sink:(fun tr op ->
+        let p nd = Bintrie.Node.prefix tr nd in
+        match op with
+        | Fib_op.Install (nd, _) | Fib_op.Remove (nd, _) ->
+            Fib_snapshot.invalidate_prefix snap (p nd);
+            Hashtbl.replace delta (p nd) ()
+        | Fib_op.Update (nd, _, _) -> Hashtbl.replace delta (p nd) ())
+      ~default_nh:9 ()
+  in
+  Route_manager.load rm (List.to_seq routes);
+  let tree = Route_manager.tree rm in
+  Fib_snapshot.refresh snap tree;
+  let plane =
+    Plane.create ~patch_budget ~root_bits:16 ~readers:1 ~default_nh:9
+      (Fib_snapshot.cover tree)
+  in
+  Hashtbl.reset delta;
+  { rm; snap; plane; delta }
+
+let take_delta r =
+  let d = Hashtbl.fold (fun p () acc -> p :: acc) r.delta [] in
+  Hashtbl.reset r.delta;
+  d
+
+let plane_resolve r addr =
+  let tree = Route_manager.tree r.rm in
+  let nd = Bintrie.lookup_in_fib tree addr in
+  if Bintrie.is_nil nd then Flat_lpm.miss
+  else
+    Flat_lpm.encode ~value:(Bintrie.Node.installed_nh tree nd)
+      ~length:(Bintrie.Node.depth tree nd)
+
+(* Refresh the snapshot and publish the plane from one delta; returns
+   how many of the two took the patch path. *)
+let publish r delta =
+  let tree = Route_manager.tree r.rm in
+  let s0 = (Fib_snapshot.stats r.snap).Fib_snapshot.patches
+  and p0 = Plane.patched_publishes r.plane in
+  Fib_snapshot.refresh r.snap tree;
+  ignore
+    (Plane.publish_delta r.plane ~changed:delta
+       ~resolve:(plane_resolve r) (Fib_snapshot.cover tree));
+  (Fib_snapshot.stats r.snap).Fib_snapshot.patches - s0
+  + Plane.patched_publishes r.plane - p0
+
+(* Both tables, probed at the boundaries of every changed prefix (and
+   just outside them), answer exactly like a fresh build of the
+   current cover; the snapshot answers from its compiled table. *)
+let check_like_fresh label r delta =
+  let tree = Route_manager.tree r.rm in
+  let fresh = Flat_lpm.build (Fib_snapshot.cover tree) in
+  let st = Random.State.make [| 0xF8E5 |] in
+  let probes =
+    List.concat_map
+      (fun q ->
+        let lo = Ipv4.to_int (Prefix.network q)
+        and hi = Ipv4.to_int (Prefix.last_address q) in
+        List.map Ipv4.of_int
+          (List.filter (fun a -> a >= 0 && a <= 0xFFFF_FFFF) [ lo - 1; hi + 1 ])
+        @ Cfca_check.Oracle.addresses_of q st)
+      delta
+  in
+  let g = Plane.current r.plane in
+  let fast0 = (Fib_snapshot.stats r.snap).Fib_snapshot.fast_hits in
+  List.iter
+    (fun a ->
+      let want = Flat_lpm.lookup fresh a in
+      let nd = Fib_snapshot.lookup r.snap tree a in
+      if
+        Flat_lpm.lookup g.Plane.g_flat a <> want
+        || Flat_lpm.encode
+             ~value:(Bintrie.Node.installed_nh tree nd)
+             ~length:(Bintrie.Node.depth tree nd)
+           <> want
+      then Alcotest.failf "%s: diverges from a fresh build at %s" label
+          (Ipv4.to_string a))
+    probes;
+  check_int (label ^ ": snapshot answered compiled") (List.length probes)
+    ((Fib_snapshot.stats r.snap).Fib_snapshot.fast_hits - fast0)
+
+let check_fallback label r delta =
+  let full0 = (Fib_snapshot.stats r.snap).Fib_snapshot.full_rebuilds
+  and comp0 = Plane.full_compiles r.plane in
+  check_int (label ^ ": neither table patched") 0 (publish r delta);
+  check_int (label ^ ": snapshot rebuilt in full") (full0 + 1)
+    (Fib_snapshot.stats r.snap).Fib_snapshot.full_rebuilds;
+  check_int (label ^ ": plane compiled in full") (comp0 + 1)
+    (Plane.full_compiles r.plane);
+  check_like_fresh label r delta
+
+let test_refusal_over_budget () =
+  (* sixteen /12s tile 0.0.0.0/8; each covers 16 root cells *)
+  let r =
+    refusal_rig ~patch_budget:8
+      (List.init 16 (fun i -> (Prefix.make (Ipv4.of_int (i lsl 20)) 12, i + 1)))
+  in
+  (* fragmenting a /12 removes it from the FIB: a 16-cell delta *)
+  Route_manager.announce r.rm (Prefix.make (Ipv4.of_int (1 lsl 20)) 14) 40;
+  let delta = take_delta r in
+  let table () = Flat_lpm.copy (Plane.current r.plane).Plane.g_flat in
+  check "refused as over budget" true
+    (Flat_lpm.patch (table ()) ~budget:8 ~resolve:(plane_resolve r) delta
+    = Error Flat_lpm.Over_budget);
+  check "the same delta patches within a larger budget" true
+    (Flat_lpm.patch (table ()) ~budget:4096 ~resolve:(plane_resolve r) delta
+    = Ok 16);
+  check_fallback "over budget" r delta
+
+let test_refusal_orphaned_spill () =
+  (* 4096 /16s, one root cell each, with alternating next hops so none
+     aggregate: no spill at build time, and a payload table large
+     enough that the snapshot's compaction guard stays quiet *)
+  let r =
+    refusal_rig ~patch_budget:4096
+      (List.init 4096 (fun i ->
+           (Prefix.make (Ipv4.of_int (i lsl 16)) 16, 1 + (i land 1))))
+  in
+  (* a /32 inside a /16 re-pushes that cell into two fresh spill
+     blocks, so 129 of them (66048 words) outgrow the 65536-word
+     allowance over an empty build-time spill; 43 per burst keeps each
+     delta under the snapshot's 1024-prefix cap *)
+  let host j = Prefix.make (Ipv4.of_int ((j lsl 16) lor 0x0101)) 32 in
+  for b = 0 to 2 do
+    for j = 43 * b to (43 * b) + 42 do
+      Route_manager.announce r.rm (host j) 3
+    done;
+    check_int "warm-up burst patched both tables" 2 (publish r (take_delta r))
+  done;
+  Route_manager.announce r.rm (host 200) 3;
+  let delta = take_delta r in
+  let table = (Plane.current r.plane).Plane.g_flat in
+  check "refused as orphaned spill" true
+    (Flat_lpm.patch (Flat_lpm.copy table) ~budget:4096
+       ~resolve:(plane_resolve r) delta
+    = Error Flat_lpm.Orphaned_spill);
+  check_fallback "orphaned spill" r delta;
+  (* the full build compacted the spill: patching resumes *)
+  Route_manager.announce r.rm (host 201) 3;
+  check_int "patching resumes after the rebuild" 2 (publish r (take_delta r))
+
 let () =
   Alcotest.run "dataplane"
     [
@@ -452,6 +612,13 @@ let () =
             test_fib_snapshot_updates;
           Alcotest.test_case "patch path + allocation gate" `Quick
             test_patch_path_allocation;
+        ] );
+      ( "refusals",
+        [
+          Alcotest.test_case "over budget falls back to a fresh build" `Quick
+            test_refusal_over_budget;
+          Alcotest.test_case "orphaned spill falls back to a fresh build"
+            `Quick test_refusal_orphaned_spill;
         ] );
       ( "table_set",
         [

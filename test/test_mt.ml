@@ -296,7 +296,6 @@ let run_stress mode =
       mode;
       seed = 0xD00D;
       sample_every = 23;
-      coalesce = true;
       verify_publish = true;
     }
   in
@@ -349,7 +348,7 @@ let test_mt_engine_determinism_single_domain () =
     r2.M.mt_domains.(0).M.d_defaults;
   check_int "no divergences" 0 r1.M.mt_audit_divergences
 
-(* -- Fib_snapshot: cover + per-domain cells ------------------------- *)
+(* -- Fib_snapshot: cover ------------------------------------------ *)
 
 let test_fib_snapshot_cover () =
   let module RM = Cfca_core.Route_manager in
@@ -377,32 +376,6 @@ let test_fib_snapshot_cover () =
       (Nexthop.to_int (RM.lookup rm a))
       (Nexthop.to_int (Cfca_check.Oracle.lookup oracle a))
   done
-
-let test_fib_snapshot_domain_cells () =
-  let module RM = Cfca_core.Route_manager in
-  let module FS = Cfca_dataplane.Fib_snapshot in
-  let st = Random.State.make [| 0xD0C5 |] in
-  let routes = random_routes st 120 in
-  let rm = RM.create ~default_nh () in
-  RM.load rm (List.to_seq routes);
-  let tree = RM.tree rm in
-  let snap = FS.create ~domains:3 () in
-  check_int "domains" 3 (FS.domains snap);
-  FS.refresh snap tree;
-  for i = 1 to 3_000 do
-    ignore (FS.lookup_domain snap ~domain:(i mod 3) tree (Ipv4.random st))
-  done;
-  let s = FS.stats snap in
-  check_int "cells merge to the exact total" 3_000
-    (s.FS.fast_hits + s.FS.fallbacks);
-  check "clean snapshot answers from the compiled path" true
-    (s.FS.fast_hits = 3_000);
-  (* the default create is one cell, and plain lookup charges it *)
-  let solo = FS.create () in
-  check_int "default is single-domain" 1 (FS.domains solo);
-  FS.refresh solo tree;
-  ignore (FS.lookup solo tree (Ipv4.random st));
-  check_int "lookup = lookup_domain 0" 1 ((FS.stats solo).FS.fast_hits)
 
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
@@ -444,7 +417,5 @@ let () =
         [
           Alcotest.test_case "cover: non-overlapping, equivalent" `Quick
             test_fib_snapshot_cover;
-          Alcotest.test_case "per-domain cells merge exactly" `Quick
-            test_fib_snapshot_domain_cells;
         ] );
     ]

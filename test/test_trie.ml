@@ -348,13 +348,12 @@ let prop_leaves_cover_address_space =
 
 (* -- Flat_lpm ------------------------------------------------------- *)
 
-let flat_variants =
+let flat_strides =
   [
-    ("dir24", `Dir, 24);
-    ("dir16", `Dir, 16);
-    ("dir13", `Dir, 13);  (* root stride not a multiple of 8: pad path *)
-    ("pop16", `Poptrie, 16);
-    ("pop8", `Poptrie, 8);  (* pad path for the 5-bit stride too *)
+    ("dir24", 24);
+    ("dir16", 16);
+    ("dir13", 13);  (* root stride not a multiple of 8: pad path *)
+    ("dir8", 8);  (* three spill levels *)
   ]
 
 let test_flat_basic () =
@@ -368,8 +367,8 @@ let test_flat_basic () =
     ]
   in
   List.iter
-    (fun (name, variant, root_bits) ->
-      let t = Flat_lpm.build ~variant ~root_bits routes in
+    (fun (name, root_bits) ->
+      let t = Flat_lpm.build ~root_bits routes in
       let got a = Flat_lpm.find_value t (addr a) in
       check_int (name ^ " /32") 3 (got "10.1.2.3");
       check_int (name ^ " /16") 2 (got "10.1.2.4");
@@ -381,7 +380,7 @@ let test_flat_basic () =
       check_int (name ^ " value") 3 (Flat_lpm.result_value r);
       let r0 = Flat_lpm.lookup t (addr "8.8.8.8") in
       check_int (name ^ " default length") 0 (Flat_lpm.result_length r0))
-    flat_variants;
+    flat_strides;
   (* empty table: everything misses *)
   let e = Flat_lpm.build [] in
   check_int "empty misses" Flat_lpm.miss (Flat_lpm.lookup e (addr "1.2.3.4"))
@@ -445,11 +444,10 @@ let flat_agreement_prop routes =
   let st = Random.State.make [| List.length routes; 0xF1A7 |] in
   let probes = probes_for routes st in
   List.for_all
-    (fun (_, variant, root_bits) ->
-      let flat = Flat_lpm.build ~variant ~root_bits routes in
+    (fun (_, root_bits) ->
+      let flat = Flat_lpm.build ~root_bits routes in
       List.for_all (agrees_with_lpm lpm flat) probes)
-    (("auto", `Auto, 16)
-    :: List.filter (fun (_, _, rb) -> rb <= 16) flat_variants)
+    (List.filter (fun (_, rb) -> rb <= 16) flat_strides)
 
 let prop_flat_vs_lpm_disjoint =
   QCheck.Test.make ~count:150
@@ -467,8 +465,7 @@ let prop_flat_vs_lpm_nested =
 let test_flat_alloc_free () =
   let st = Random.State.make [| 7; 0xA110C |] in
   let routes = List.init 500 (fun i -> (Prefix.random st (), i)) in
-  let dir = Flat_lpm.build ~variant:`Dir ~root_bits:16 routes in
-  let pop = Flat_lpm.build ~variant:`Poptrie ~root_bits:12 routes in
+  let flat = Flat_lpm.build routes in
   let lpm = Lpm.of_list routes in
   let addrs = Array.init 1024 (fun _ -> Ipv4.random st) in
   let minor_words_of f =
@@ -486,8 +483,7 @@ let test_flat_alloc_free () =
       Alcotest.failf "%s allocated %.0f minor words over 100K lookups" name
         words
   in
-  assert_alloc_free "Flat_lpm(dir)" (fun a -> ignore (Flat_lpm.lookup dir a));
-  assert_alloc_free "Flat_lpm(pop)" (fun a -> ignore (Flat_lpm.lookup pop a));
+  assert_alloc_free "Flat_lpm" (fun a -> ignore (Flat_lpm.lookup flat a));
   assert_alloc_free "Lpm.lookup_value" (fun a ->
       ignore (Lpm.lookup_value lpm a))
 
@@ -524,7 +520,7 @@ let () =
         qt [ prop_extension_invariant; prop_leaves_cover_address_space ] );
       ( "flat-lpm",
         [
-          Alcotest.test_case "basic (all layouts)" `Quick test_flat_basic;
+          Alcotest.test_case "basic (all root strides)" `Quick test_flat_basic;
           Alcotest.test_case "allocation-free lookups" `Quick
             test_flat_alloc_free;
         ] );
