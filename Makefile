@@ -2,7 +2,7 @@
 
 .PHONY: all build test doc fuzz bench quick-bench bench-smoke \
 	telemetry-smoke scenarios crash mt mt-bench-smoke \
-	replay-smoke replay-full perf perf-pin examples clean
+	replay-smoke replay-full perf perf-pin stack-check examples clean
 
 all: build
 
@@ -147,6 +147,21 @@ perf: build
 
 perf-pin: build
 	dune exec bin/verify.exe -- perf --write-baselines
+
+# The stack benchmark (bench/stack, declared in BENCHMARK.json) at paper
+# scale: one 30-second run of seed 1 per workload. Fails unless every
+# run exits 0 and prints "correct": true; each run's output is kept in
+# .bench_build/stack-check/. The 700K-route runs take minutes, so CI
+# does not run this. See BENCHMARKS.md.
+stack-check:
+	@mkdir -p .bench_build/stack-check
+	@failed=; for w in steady spread churn storm; do \
+	  out=.bench_build/stack-check/$$w.out; \
+	  if python3 bench/stack/run.py --workload $$w --seed 1 --seconds 30 \
+	       > $$out && tail -n 1 $$out | grep -q '"correct": true'; then \
+	    echo "stack-check: $$w ok"; \
+	  else echo "stack-check: $$w FAILED (see $$out)"; failed="$$failed $$w"; fi; \
+	done; test -z "$$failed"
 
 examples: build
 	dune exec examples/quickstart.exe

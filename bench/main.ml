@@ -344,10 +344,7 @@ let lookup_target mult ~emit_json =
   in
   let default_nh = Nexthop.of_int 33 in
   let entries = Rib.entries rib in
-  let routes =
-    (Prefix.default, default_nh)
-    :: List.map (fun (p, nh) -> (p, Nexthop.to_int nh)) (Array.to_list entries)
-  in
+  let routes = (Prefix.default, default_nh) :: Array.to_list entries in
   Printf.printf "table: %d routes (+default), seed %d\n" (Array.length entries)
     scale.Experiments.seed;
   (* reference and compiled tables over the identical route set *)
@@ -713,11 +710,10 @@ let update_target mult ~emit_json =
   (* -- incremental update path: burst coalescing + snapshot patching.
         A bounded slice of the same churn replays in small bursts
         through a CFCA instance backed by a compiled Fib_snapshot with
-        a forced /24 root stride (the churn is /24-heavy, so a narrower
-        stride would refuse almost every patch). Each burst is folded
-        to its net delta by the coalescer, applied, and the snapshot
-        refreshed eagerly — the patch path when the recorded delta
-        qualifies, a full recompile otherwise. The gate replay checks,
+        a /24 root stride. Each burst is folded to its net delta by
+        the coalescer, applied, and the snapshot refreshed eagerly —
+        the patch path when the recorded delta qualifies, a full
+        recompile otherwise. The gate replay checks,
         burst by burst, that the patched snapshot answers exactly like
         a from-scratch recompile of the same tree (node identity) and
         like the naive oracle (next-hop), probing the boundaries of

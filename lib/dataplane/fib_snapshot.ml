@@ -100,32 +100,6 @@ let invalidate_prefix t p =
   end;
   mark_dirty t
 
-let full_refresh t tree =
-  let acc = ref [] in
-  let n = ref 0 in
-  Bintrie.iter_in_fib
-    (fun node ->
-      acc := node :: !acc;
-      incr n)
-    tree;
-  let nodes = Array.make (max 1 !n) (Bintrie.root tree) in
-  let i = ref !n in
-  (* [acc] is reversed; indices just need to be consistent with the
-     prefix list below, not ordered. *)
-  let prefixes =
-    List.rev_map
-      (fun node ->
-        decr i;
-        nodes.(!i) <- node;
-        (Bintrie.Node.prefix tree node, !i))
-      !acc
-  in
-  t.nodes <- nodes;
-  t.node_count <- !n;
-  t.nodes_baseline <- !n;
-  t.flat <- Flat_lpm.build ~root_bits:t.root_bits prefixes;
-  t.full_rebuilds <- t.full_rebuilds + 1
-
 (* Register a node as a flat payload, appending a fresh index. A node
    may end up with several indices (one per patched range that resolves
    to it); lookups stay correct because every index maps back to the
@@ -142,6 +116,20 @@ let append_node t node =
   let idx = t.node_count in
   t.node_count <- t.node_count + 1;
   idx
+
+(* Compile the whole cover: payload [i] is the [i]-th IN_FIB node in
+   address order, so the prefix list is address-ordered and
+   [Flat_lpm.build] compiles it in one pass without sorting. *)
+let full_refresh t tree =
+  t.node_count <- 0;
+  Bintrie.iter_in_fib (fun node -> ignore (append_node t node)) tree;
+  let prefixes = ref [] in
+  for i = t.node_count - 1 downto 0 do
+    prefixes := (Bintrie.Node.prefix tree t.nodes.(i), i) :: !prefixes
+  done;
+  t.nodes_baseline <- t.node_count;
+  t.flat <- Flat_lpm.build ~root_bits:t.root_bits !prefixes;
+  t.full_rebuilds <- t.full_rebuilds + 1
 
 let try_patch t tree =
   let changed = PH.fold (fun p () acc -> p :: acc) t.delta [] in

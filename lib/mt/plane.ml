@@ -3,7 +3,6 @@ open Cfca_prefix
 type gen = {
   g_epoch : int;
   g_flat : Cfca_trie.Flat_lpm.t;
-  g_routes : int;
   g_default : int;
   g_live : bool Atomic.t;
 }
@@ -44,10 +43,7 @@ type t = {
 let compile ~epoch ~default_nh ~root_bits routes =
   {
     g_epoch = epoch;
-    g_flat =
-      Cfca_trie.Flat_lpm.build ~root_bits
-        (List.map (fun (p, nh) -> (p, Nexthop.to_int nh)) routes);
-    g_routes = List.length routes;
+    g_flat = Cfca_trie.Flat_lpm.build ~root_bits routes;
     g_default = default_nh;
     g_live = Atomic.make true;
   }
@@ -104,7 +100,6 @@ let publish_delta t ~changed ~resolve routes =
               {
                 g_epoch = epoch;
                 g_flat = flat;
-                g_routes = List.length routes;
                 g_default = t.default_nh;
                 g_live = Atomic.make true;
               }

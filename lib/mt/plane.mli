@@ -28,7 +28,6 @@ open Cfca_prefix
 type gen = {
   g_epoch : int;  (** Hub epoch this generation was published at. *)
   g_flat : Cfca_trie.Flat_lpm.t;  (** Compiled cover; payload = next-hop. *)
-  g_routes : int;  (** Prefixes compiled in. *)
   g_default : int;  (** Next-hop for addresses the cover misses. *)
   g_live : bool Atomic.t;
       (** [true] until the hub frees the generation; cleared by

@@ -201,11 +201,21 @@ let of_string text =
             t_rel = num "tol_rel" m;
           }
         in
+        (* a pack that leaves a gated metric unpinned would pass the
+           gate however far that metric moved *)
         let pack_of p =
-          {
-            pb_pack = str "pack" p;
-            pb_metrics = List.map tol_of (arr "metrics" p);
-          }
+          let pb_pack = str "pack" p in
+          let pb_metrics = List.map tol_of (arr "metrics" p) in
+          List.iter
+            (fun m ->
+              if not (List.exists (fun t -> String.equal t.t_metric m) pb_metrics)
+              then
+                raise
+                  (Parse_error
+                     (Printf.sprintf "pack %s does not pin gated metric %s"
+                        pb_pack m)))
+            Score.gated_metrics;
+          { pb_pack; pb_metrics }
         in
         Ok
           {

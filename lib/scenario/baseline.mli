@@ -29,7 +29,8 @@ val magic : string
 
 val of_string : string -> (t, string) result
 (** Parse a baseline document; [Error] names the first problem
-    (malformed JSON, wrong {!magic}, missing field). *)
+    (malformed JSON, wrong {!magic}, missing field, or a pack that does
+    not pin every {!Score.gated_metrics} name). *)
 
 val of_file : string -> (t, string) result
 

@@ -154,10 +154,7 @@ let run ?telemetry ?(default_nh = Nexthop.of_int 33) cfg rib =
   let publish_divergences = ref 0 in
   let probe_rng = Random.State.make [| cfg.seed; 0xD1FF |] in
   let verify_pub delta cover =
-    let fresh =
-      Cfca_trie.Flat_lpm.build
-        (List.map (fun (p, nh) -> (p, Nexthop.to_int nh)) cover)
-    in
+    let fresh = Cfca_trie.Flat_lpm.build cover in
     let g = Plane.current plane in
     let check addr =
       incr publish_checks;

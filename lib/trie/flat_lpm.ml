@@ -51,110 +51,88 @@ module Gbuf = struct
 
   let set t i v = t.a.(i) <- v
 
+  let get t i = t.a.(i)
+
   let length t = t.len
 
   let contents t = Array.sub t.a 0 t.len
 end
 
-(* -- build-time binary trie ----------------------------------------- *)
-
-type bnode = {
-  mutable res : int;  (* encoded result, -1 when the prefix is unbound *)
-  mutable zero : bnode option;
-  mutable one : bnode option;
-}
-
-let fresh () = { res = -1; zero = None; one = None }
-
-let build_trie prefixes =
-  let root = fresh () in
-  List.iter
-    (fun (p, v) ->
-      if v < 0 then invalid_arg "Flat_lpm.build: negative payload";
-      let len = Prefix.length p in
-      let rec go n depth =
-        if depth = len then n.res <- encode ~value:v ~length:len
-        else begin
-          let right = Prefix.bit p depth in
-          let c =
-            match (if right then n.one else n.zero) with
-            | Some c -> c
-            | None ->
-                let c = fresh () in
-                if right then n.one <- Some c else n.zero <- Some c;
-                c
-          in
-          go c (depth + 1)
-        end
-      in
-      go root 0)
-    prefixes;
-  root
-
-let is_bleaf n = n.zero == None && n.one == None
-
 (* -- DIR compilation ------------------------------------------------ *)
 
-let rec fill_spill spill off k n inherited =
-  let inherited = if n.res >= 0 then n.res else inherited in
-  if k = 0 then begin
-    if is_bleaf n then Gbuf.set spill off (inherited + 1)
-    else begin
-      let b = Gbuf.reserve spill 256 lsr 8 in
-      Gbuf.set spill off (-(b + 1));
-      fill_spill spill (b lsl 8) 8 n inherited
-    end
-  end
+(* The index of the spill block under a slot holding [s]. A value slot
+   gets a fresh block whose 256 slots all hold that value; the caller
+   points the slot at it. *)
+let block_under spill s =
+  if s < 0 then -s - 1
   else begin
-    let half = 1 lsl (k - 1) in
-    (match n.zero with
-    | Some c -> fill_spill spill off (k - 1) c inherited
-    | None ->
-        for i = off to off + half - 1 do
-          Gbuf.set spill i (inherited + 1)
-        done);
-    match n.one with
-    | Some c -> fill_spill spill (off + half) (k - 1) c inherited
-    | None ->
-        for i = off + half to off + (2 * half) - 1 do
-          Gbuf.set spill i (inherited + 1)
-        done
+    let off = Gbuf.reserve spill 256 in
+    if s <> 0 then
+      for i = off to off + 255 do
+        Gbuf.set spill i s
+      done;
+    off lsr 8
   end
 
-(* Fill the [2^k] root slots starting at [off] from the subtree [n],
-   leaf-pushing [inherited] (the encoded result of the longest enclosing
-   bound prefix, -1 if none) into uncovered ranges. Root cells that
-   still have deeper prefixes point at a fresh spill chain. *)
-let rec fill_root root spill off k n inherited =
-  let inherited = if n.res >= 0 then n.res else inherited in
-  if k = 0 then
-    if is_bleaf n then root.(off) <- inherited + 1
-    else begin
-      let b = Gbuf.reserve spill 256 lsr 8 in
-      fill_spill spill (b lsl 8) 8 n inherited;
-      root.(off) <- -(b + 1)
-    end
-  else begin
-    let half = 1 lsl (k - 1) in
-    (match n.zero with
-    | Some c -> fill_root root spill off (k - 1) c inherited
-    | None -> Array.fill root off half (inherited + 1));
-    match n.one with
-    | Some c -> fill_root root spill (off + half) (k - 1) c inherited
-    | None -> Array.fill root (off + half) half (inherited + 1)
-  end
+let rec address_ordered = function
+  | (a, _) :: ((b, _) :: _ as rest) ->
+      Prefix.compare a b <= 0 && address_ordered rest
+  | _ -> true
 
+(* One pass in (network, length) order: every prefix comes after each
+   prefix that contains it, so writing its slots over the enclosing
+   values gives the table leaf-pushing would. A prefix no longer than
+   the root stride fills its run of root cells; a longer one walks its
+   spill chain, turning each value slot it descends through into a
+   pointer to a fresh block of that value, and fills its run of slots
+   at the level where it ends. Blocks are thus numbered in address
+   order. *)
 let build ?(root_bits = 16) prefixes =
   if root_bits < 8 || root_bits > 24 then
     invalid_arg "Flat_lpm.build: root_bits outside [8, 24]";
   let levels = (32 - root_bits + 7) / 8 in
+  let pad = root_bits + (8 * levels) - 32 in
   let root = Array.make (1 lsl root_bits) 0 in
   let spill = Gbuf.create 1024 in
-  fill_root root spill 0 root_bits (build_trie prefixes) (-1);
+  let prefixes =
+    if address_ordered prefixes then prefixes
+    else List.stable_sort (fun (a, _) (b, _) -> Prefix.compare a b) prefixes
+  in
+  List.iter
+    (fun (p, v) ->
+      if v < 0 then invalid_arg "Flat_lpm.build: negative payload";
+      let len = Prefix.length p in
+      let e = encode ~value:v ~length:len + 1 in
+      let a = Ipv4.to_int (Prefix.network p) lsl pad in
+      (* [shift]: the padded address bits below the current level *)
+      let shift = 32 + pad - root_bits in
+      if len <= root_bits then
+        Array.fill root (a lsr shift) (1 lsl (root_bits - len)) e
+      else begin
+        let rec down blk shift =
+          let shift = shift - 8 in
+          let i = (blk lsl 8) + ((a lsr shift) land 0xFF) in
+          let depth = 32 + pad - shift in
+          if len <= depth then
+            for j = i to i + (1 lsl (depth - len)) - 1 do
+              Gbuf.set spill j e
+            done
+          else begin
+            let b = block_under spill (Gbuf.get spill i) in
+            Gbuf.set spill i (-(b + 1));
+            down b shift
+          end
+        in
+        let c = a lsr shift in
+        let b = block_under spill root.(c) in
+        root.(c) <- -(b + 1);
+        down b shift
+      end)
+    prefixes;
   let spill = Gbuf.contents spill in
   {
     d_root_bits = root_bits;
-    d_pad = root_bits + (8 * levels) - 32;
+    d_pad = pad;
     d_root = root;
     d_spill = spill;
     d_spill_base = Array.length spill;

@@ -35,9 +35,13 @@ type t
 
 val build : ?root_bits:int -> (Prefix.t * int) list -> t
 (** Compile a prefix set. Later bindings of a repeated prefix win,
-    matching {!Lpm.add}; nested (overlapping) prefixes are handled by
-    leaf-pushing, so any prefix set is accepted — non-overlapping
-    covers (the FIB snapshot case) are simply the fastest to build.
+    matching {!Lpm.add}; nested (overlapping) prefixes are accepted,
+    every slot holding its longest match.
+
+    Input already in (network, length) order ({!Prefix.compare}, the
+    order a trie walk or a sorted RIB yields) compiles in one pass:
+    O(n) plus the table's size. Any other input is stable-sorted
+    first, O(n log n).
 
     [root_bits] (default 16, accepted range 8–24) is the direct-index
     stride of the root array: it trades the root's size ([2^root_bits]

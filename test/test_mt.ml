@@ -188,7 +188,6 @@ let test_plane_vs_oracle () =
   let r = Plane.Reader.make plane 0 in
   let g = Plane.Reader.pin r in
   check "generation live" true (Atomic.get g.Plane.g_live);
-  check_int "routes compiled" 400 g.Plane.g_routes;
   for _ = 1 to 20_000 do
     let a = Ipv4.random st in
     check_int "plane answer = oracle answer"

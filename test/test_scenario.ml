@@ -355,7 +355,10 @@ let test_baselines_schema_golden () =
         (fun p ->
           match field "metrics" p with
           | J_arr ms ->
-              check "every pack pins at least one metric" true (ms <> []);
+              check "every pack pins every gated metric" true
+                (List.for_all
+                   (fun g -> List.exists (fun m -> field "metric" m = J_str g) ms)
+                   Score.gated_metrics);
               List.iter
                 (fun m ->
                   (match field "metric" m with
@@ -391,7 +394,34 @@ let test_baselines_reject_garbage () =
     (Result.is_error (Baseline.of_string "{} junk"));
   check "missing fields rejected" true
     (Result.is_error
-       (Baseline.of_string "{\"baselines\": \"cfca-scenarios\", \"version\": 1}"))
+       (Baseline.of_string "{\"baselines\": \"cfca-scenarios\", \"version\": 1}"));
+  (* a pack that leaves any gated metric unpinned fails the gate: the
+     committed file with that one entry dropped no longer parses *)
+  match Baseline.of_string (baselines_text ()) with
+  | Error msg -> Alcotest.failf "committed baselines do not parse: %s" msg
+  | Ok b ->
+      List.iter
+        (fun (pb : Baseline.pack_baseline) ->
+          List.iter
+            (fun m ->
+              let drop (q : Baseline.pack_baseline) =
+                if q.pb_pack <> pb.pb_pack then q
+                else
+                  {
+                    q with
+                    pb_metrics =
+                      List.filter
+                        (fun (t : Baseline.tol) -> t.t_metric <> m)
+                        q.pb_metrics;
+                  }
+              in
+              let b' = { b with b_packs = List.map drop b.b_packs } in
+              check
+                (Printf.sprintf "%s without %s rejected" pb.pb_pack m)
+                true
+                (Result.is_error (Baseline.of_string (Baseline.to_json b'))))
+            Score.gated_metrics)
+        b.b_packs
 
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in

@@ -461,6 +461,111 @@ let prop_flat_vs_lpm_nested =
     (QCheck.make ~print:print_flat_routes gen_flat_routes)
     flat_agreement_prop
 
+(* Nested lists with repeated prefixes: each route gains a prefix
+   inside it (sometimes itself, rebound), and every third entry is
+   bound again later in the list. *)
+let gen_nested_dup_routes =
+  QCheck.Gen.(
+    map2
+      (fun l seed ->
+        let st = Random.State.make [| seed |] in
+        let inner =
+          List.map
+            (fun (q, v) ->
+              let len =
+                Prefix.length q + Random.State.int st (33 - Prefix.length q)
+              in
+              (Prefix.make (Prefix.random_member st q) len, v + 1))
+            l
+        in
+        let l = l @ inner in
+        l
+        @ List.map
+            (fun (q, v) -> (q, v + 2))
+            (List.filteri (fun i _ -> i mod 3 = 0) l))
+      gen_flat_routes nat)
+
+let by_prefix l = List.stable_sort (fun (a, _) (b, _) -> Prefix.compare a b) l
+
+let prop_flat_order_independent =
+  QCheck.Test.make ~count:12
+    ~name:"build of any order = build of the address-ordered list"
+    (QCheck.make ~print:print_flat_routes gen_nested_dup_routes)
+    (fun routes ->
+      let ordered = by_prefix routes in
+      List.for_all
+        (fun (_, root_bits) ->
+          Flat_lpm.build ~root_bits routes = Flat_lpm.build ~root_bits ordered)
+        flat_strides)
+
+(* Seeded nested sets for the layout pins: /0, a /32, a prefix nested
+   inside each outer one, and a quarter of the entries rebound later in
+   the list. *)
+let pinned_routes seed =
+  let st = Random.State.make [| seed; 0x1A70 |] in
+  let outer =
+    List.init 48 (fun i -> (Prefix.random st ~min_len:1 ~max_len:24 (), i))
+  in
+  let inner =
+    List.map
+      (fun (q, v) ->
+        let len =
+          Prefix.length q + 1 + Random.State.int st (32 - Prefix.length q)
+        in
+        (Prefix.make (Prefix.random_member st q) len, v + 100))
+      outer
+  in
+  let rebound =
+    List.filteri (fun i _ -> i mod 4 = 0) (outer @ inner)
+    |> List.map (fun (q, v) -> (q, v + 200))
+  in
+  ((Prefix.default, 1) :: (Prefix.make (Ipv4.random st) 32, 2) :: outer)
+  @ inner @ rebound
+
+(* The hex digest of each marshalled table, at strides 8, 13, 16 and
+   24, pinned from the earlier compiler, which leaf-pushed a binary trie
+   of the list. Equal digests mean the same root cells, the same spill
+   blocks in the same order and the same spill base, so a layout change
+   shows here even while every lookup still agrees. *)
+let test_flat_layout_pinned () =
+  List.iter
+    (fun (name, routes, digests) ->
+      List.iter2
+        (fun root_bits want ->
+          let t = Flat_lpm.build ~root_bits routes in
+          Alcotest.(check string)
+            (Printf.sprintf "%s /%d" name root_bits)
+            want
+            (Digest.to_hex
+               (Digest.string (Marshal.to_string t [ Marshal.No_sharing ]))))
+        [ 8; 13; 16; 24 ] digests)
+    [
+      ( "seed 1",
+        pinned_routes 1,
+        [
+          "7d751e400a684f2a2449899761e01ea3";
+          "32163238c821c9f57916e0c956a26b1c";
+          "023cf3169a1388171718401b67d292b3";
+          "b301890ec82f9101ab4190e353d549f7";
+        ] );
+      ( "seed 2",
+        pinned_routes 2,
+        [
+          "daddb17d68da8ba73bf91b37f665a409";
+          "4ab72cf1af1d4d76162313b683f997d7";
+          "06849340eca500608fa5ff5b24f1cbb7";
+          "5e2cb904d28519ed9c71cfc824a2d24d";
+        ] );
+      ( "seed 3, address-ordered",
+        by_prefix (pinned_routes 3),
+        [
+          "92decb72c32d4e3763e8f8a65fa174cc";
+          "5c64334b3128a69b2d52c4054bd87327";
+          "360cab84572d0007fddf0f750133f704";
+          "9c13c51c1a5e41adc2c368bfd725f41d";
+        ] );
+    ]
+
 (* The hot-path contract: steady-state lookups allocate nothing. *)
 let test_flat_alloc_free () =
   let st = Random.State.make [| 7; 0xA110C |] in
@@ -523,7 +628,14 @@ let () =
           Alcotest.test_case "basic (all root strides)" `Quick test_flat_basic;
           Alcotest.test_case "allocation-free lookups" `Quick
             test_flat_alloc_free;
+          Alcotest.test_case "layout pinned by digest" `Quick
+            test_flat_layout_pinned;
         ] );
       ( "flat-lpm-properties",
-        qt [ prop_flat_vs_lpm_disjoint; prop_flat_vs_lpm_nested ] );
+        qt
+          [
+            prop_flat_vs_lpm_disjoint;
+            prop_flat_vs_lpm_nested;
+            prop_flat_order_independent;
+          ] );
     ]
