@@ -2,7 +2,8 @@
 
 .PHONY: all build test doc fuzz bench quick-bench bench-smoke \
 	telemetry-smoke scenarios crash mt mt-bench-smoke \
-	replay-smoke replay-full perf perf-pin stack-check examples clean
+	replay-smoke replay-full perf perf-pin stack-check stack-ab examples \
+	clean
 
 all: build
 
@@ -162,6 +163,22 @@ stack-check:
 	    echo "stack-check: $$w ok"; \
 	  else echo "stack-check: $$w FAILED (see $$out)"; failed="$$failed $$w"; fi; \
 	done; test -z "$$failed"
+
+# Alternating A/B of the stack benchmark (bench/stack_ab.py): PAIRS
+# pairs of runs of each workload on seed SEED, one in a `git archive`
+# export of PARENT (under .bench_build/ab/) and one in the working
+# tree, alternating which goes first. Prints each end-to-end metric's
+# medians, quartiles, pairs won and verdict against its bound in
+# BENCHMARK.json; fails only on a wrong output or on deterministic
+# counts that differ between the sides. Minutes per pair: not in CI.
+PARENT ?= HEAD
+PAIRS ?= 10
+SEED ?= 1
+WORKLOADS ?=
+
+stack-ab:
+	python3 bench/stack_ab.py --parent $(PARENT) --pairs $(PAIRS) \
+	  --seed $(SEED) --workloads "$(WORKLOADS)"
 
 examples: build
 	dune exec examples/quickstart.exe

@@ -119,7 +119,9 @@ let append_node t node =
 
 (* Compile the whole cover: payload [i] is the [i]-th IN_FIB node in
    address order, so the prefix list is address-ordered and
-   [Flat_lpm.build] compiles it in one pass without sorting. *)
+   [Flat_lpm.build] compiles it in one pass without sorting. The old
+   table never leaves this module, so it is dead here and lends its
+   root to the new one. *)
 let full_refresh t tree =
   t.node_count <- 0;
   Bintrie.iter_in_fib (fun node -> ignore (append_node t node)) tree;
@@ -128,7 +130,7 @@ let full_refresh t tree =
     prefixes := (Bintrie.Node.prefix tree t.nodes.(i), i) :: !prefixes
   done;
   t.nodes_baseline <- t.node_count;
-  t.flat <- Flat_lpm.build ~root_bits:t.root_bits !prefixes;
+  t.flat <- Flat_lpm.build ~into:t.flat ~root_bits:t.root_bits !prefixes;
   t.full_rebuilds <- t.full_rebuilds + 1
 
 let try_patch t tree =
@@ -172,15 +174,21 @@ let refresh t tree =
   t.dirty_lookups <- 0;
   t.epoch <- t.epoch + 1
 
+(* Right child first, so consing builds the address-ordered list (the
+   order [Bintrie.iter_in_fib] visits) with no reversal. *)
 let cover tree =
-  let acc = ref [] in
-  Bintrie.iter_in_fib
-    (fun node ->
-      acc :=
+  let rec go node acc =
+    match Bintrie.Node.status tree node with
+    | Bintrie.In_fib ->
         (Bintrie.Node.prefix tree node, Bintrie.Node.installed_nh tree node)
-        :: !acc)
-    tree;
-  List.rev !acc
+        :: acc
+    | Bintrie.Non_fib ->
+        let r = Bintrie.child tree node true in
+        let acc = if Bintrie.is_nil r then acc else go r acc in
+        let l = Bintrie.child tree node false in
+        if Bintrie.is_nil l then acc else go l acc
+  in
+  go (Bintrie.root tree) []
 
 (* The authoritative walk, equivalent to [Bintrie.lookup_in_fib] but
    raising on a coverage lapse instead of returning a sentinel. *)

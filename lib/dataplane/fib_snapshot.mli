@@ -24,9 +24,11 @@
     re-resolving only the root cells covered by the changed prefixes —
     instead of rebuilding it from the full IN_FIB set. Prefixes longer
     than the root stride patch too: their cells are re-leaf-pushed into
-    fresh spill chains appended past the live blocks (published copies
-    keep the old spill array — see {!Cfca_trie.Flat_lpm.patch}). The
-    patch path falls back to a full recompile whenever it cannot be
+    fresh spill chains appended past the live blocks (see
+    {!Cfca_trie.Flat_lpm.patch}). A full recompile writes into the
+    root of the table it replaces, which never leaves this module,
+    rather than allocating a new one. The patch path falls back to a
+    full recompile whenever it cannot be
     proven equivalent: overflowed delta tracking, a payload table due
     for compaction, or a {!Cfca_trie.Flat_lpm.refusal} (deltas
     exceeding [patch_budget] cells, orphaned spill chains grown past
@@ -101,11 +103,12 @@ val lookup : t -> Bintrie.t -> Ipv4.t -> Bintrie.node
 
 val cover : Bintrie.t -> (Prefix.t * Nexthop.t) list
 (** The tree's current forwarding cover: every IN_FIB node's prefix
-    with its installed next-hop, in DFS order. This is the publication
-    API of the multicore lookup plane — the writer compiles this list
-    into an immutable generation ([Cfca_mt.Plane.publish]) after each
-    update burst. The result is non-overlapping by the IN_FIB cover
-    invariant. *)
+    with its installed next-hop, in address order (the order of
+    {!Cfca_trie.Bintrie.iter_in_fib}), built in one walk. This is the
+    publication API of the multicore lookup plane — the writer
+    compiles this list into an immutable generation
+    ([Cfca_mt.Plane.publish]) after each update burst. The result is
+    non-overlapping by the IN_FIB cover invariant. *)
 
 val stats : t -> stats
 (** Cumulative counters. [patches + full_rebuilds] is the total number

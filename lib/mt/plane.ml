@@ -30,6 +30,9 @@ type t = {
   default_nh : int;
   patch_budget : int;
   root_bits : int;
+  mutable spare : Cfca_trie.Flat_lpm.t option;
+      (* the newest freed generation's table, whose root the next
+         [publish_delta] reuses; no reader can reach it *)
   (* writer-side publication accounting *)
   mutable patched_publishes : int;
   mutable full_compiles : int;
@@ -40,10 +43,10 @@ type t = {
   mutable synced_full : int;
 }
 
-let compile ~epoch ~default_nh ~root_bits routes =
+let compile ?into ~epoch ~default_nh ~root_bits routes =
   {
     g_epoch = epoch;
-    g_flat = Cfca_trie.Flat_lpm.build ~root_bits routes;
+    g_flat = Cfca_trie.Flat_lpm.build ?into ~root_bits routes;
     g_default = default_nh;
     g_live = Atomic.make true;
   }
@@ -62,6 +65,7 @@ let create ?(patch_budget = 4096) ?(root_bits = 16) ~readers ~default_nh
     default_nh;
     patch_budget;
     root_bits;
+    spare = None;
     patched_publishes = 0;
     full_compiles = 0;
     synced = Array.make counter_count 0;
@@ -69,15 +73,18 @@ let create ?(patch_budget = 4096) ?(root_bits = 16) ~readers ~default_nh
     synced_full = 0;
   }
 
-let publish t routes =
+let publish_compiled ?into t routes =
   let epoch = Epoch.epoch t.hub + 1 in
   let e =
     Epoch.publish t.hub
-      (compile ~epoch ~default_nh:t.default_nh ~root_bits:t.root_bits routes)
+      (compile ?into ~epoch ~default_nh:t.default_nh ~root_bits:t.root_bits
+         routes)
   in
   assert (e = epoch);
   t.full_compiles <- t.full_compiles + 1;
   e
+
+let publish t routes = publish_compiled t routes
 
 let publish_delta t ~changed ~resolve routes =
   let epoch = Epoch.epoch t.hub + 1 in
@@ -90,28 +97,29 @@ let publish_delta t ~changed ~resolve routes =
            retiring generation's flag is cleared when the hub frees it,
            and this one outlives it. *)
         let cur = Epoch.current t.hub in
-        Some { cur with g_epoch = epoch; g_live = Atomic.make true }
+        Ok { cur with g_epoch = epoch; g_live = Atomic.make true }
     | _ -> (
         let cur = Epoch.current t.hub in
-        let flat = F.copy cur.g_flat in
+        let flat = F.copy ?into:t.spare cur.g_flat in
+        t.spare <- None;
         match F.patch flat ~budget:t.patch_budget ~resolve changed with
         | Ok _ ->
-            Some
+            Ok
               {
                 g_epoch = epoch;
                 g_flat = flat;
                 g_default = t.default_nh;
                 g_live = Atomic.make true;
               }
-        | Error _ -> None)
+        | Error _ -> Error flat)
   in
   match next with
-  | Some g ->
+  | Ok g ->
       let e = Epoch.publish t.hub g in
       assert (e = epoch);
       t.patched_publishes <- t.patched_publishes + 1;
       e
-  | None -> publish t routes
+  | Error refused -> publish_compiled ~into:refused t routes
 
 let patched_publishes t = t.patched_publishes
 
@@ -120,6 +128,17 @@ let full_compiles t = t.full_compiles
 let collect t =
   let dropped = Epoch.collect t.hub in
   List.iter (fun g -> Atomic.set g.g_live false) dropped;
+  (match dropped with
+  | newest :: _ ->
+      (* a freed table is unreachable unless a generation still retired
+         or the current one shares it (an empty-delta republish does) *)
+      t.spare <-
+        (if
+           Epoch.retired t.hub = 0
+           && newest.g_flat != (Epoch.current t.hub).g_flat
+         then Some newest.g_flat
+         else None)
+  | [] -> ());
   List.length dropped
 
 let epoch t = Epoch.epoch t.hub

@@ -88,9 +88,16 @@ val publish_delta :
   resolve:(Ipv4.t -> int) ->
   (Prefix.t * Nexthop.t) list ->
   int
-(** Install the next generation by patching a {e copy} of the current
-    compiled table instead of compiling [routes] from scratch, so the
-    republish cost scales with the delta, not the table. [changed]
+(** Install the next generation by patching a {!Cfca_trie.Flat_lpm.copy}
+    of the current compiled table instead of compiling [routes] from
+    scratch, so the republish cost scales with the delta, not the
+    table. The copy shares the current table's spill array and, when
+    {!collect} left a spare, reuses the root of the freed generation
+    the current table was copied from: only the root cells the current
+    table was patched in are written into it, so no root is allocated
+    or copied whole. Without a spare (while readers still hold pins,
+    or after a full compile) the root is copied, O(2^root_bits).
+    [changed]
     lists every prefix whose forwarding mapping may have moved since
     the current generation (installs, removals, and next-hop rewrites —
     the compiled payloads here are next-hops, so rewrites matter,
@@ -101,9 +108,9 @@ val publish_delta :
     [Flat_lpm.miss] when the cover misses (readers then fall through to
     the default next-hop). An empty [changed] republishes the current
     table under a fresh generation record without copying. Falls back
-    to {!publish} [routes] whenever the patch refuses (any
-    {!Cfca_trie.Flat_lpm.refusal}). Returns the new epoch.
-    Writer-only. *)
+    to compiling [routes] in full, into the refused copy's root,
+    whenever the patch refuses (any {!Cfca_trie.Flat_lpm.refusal}).
+    Returns the new epoch. Writer-only. *)
 
 val patched_publishes : t -> int
 (** Publications that took the patch (or no-change) path. *)
@@ -114,7 +121,12 @@ val full_compiles : t -> int
 
 val collect : t -> int
 (** Free retired generations past grace (clearing their [g_live]) and
-    return how many were freed. Writer-only. *)
+    return how many were freed. When it frees any, the newest freed
+    generation's table becomes the spare the next {!publish_delta}
+    reuses the root of, provided no generation is still retired and
+    the current generation does not share that table (as an
+    empty-delta republish does): no reader can then reach it.
+    Otherwise no spare is kept. Writer-only. *)
 
 val epoch : t -> int
 (** The hub's current epoch (advances on every publication). *)

@@ -18,12 +18,26 @@ type t = {
   d_pad : int;  (* zero-padding bits so 8-bit levels never under-shift *)
   d_root : int array;
   mutable d_spill : int array;  (* chained 256-slot blocks *)
-  d_spill_base : int;  (* spill length at build time (orphan accounting) *)
+  d_spill_base : int;  (* spill words at build time (orphan accounting) *)
+  (* bookkeeping, after the four fields [lookup] reads *)
+  mutable d_used : int;  (* spill words this table references *)
+  mutable d_top : int ref;
+      (* high-water mark of [d_spill], shared by every table on it *)
+  mutable d_self : unit ref;  (* identity, renewed when the root is rewritten *)
+  d_src : unit ref;  (* the source's identity when this table was copied *)
+  mutable d_cells : (int * int) list;  (* root runs patched since the copy *)
 }
 
 type refusal = Over_budget | Orphaned_spill
 
-let memory_words t = Array.length t.d_root + Array.length t.d_spill
+let memory_words t = Array.length t.d_root + t.d_used
+
+let layout t =
+  (t.d_root_bits, t.d_pad, t.d_root, Array.sub t.d_spill 0 t.d_used,
+   t.d_spill_base)
+
+(* The source of a table that is no copy: no identity is ever it. *)
+let no_source = ref ()
 
 (* -- growable int buffer (build-time only) -------------------------- *)
 
@@ -56,6 +70,8 @@ module Gbuf = struct
   let length t = t.len
 
   let contents t = Array.sub t.a 0 t.len
+
+  let blit t dst off = Array.blit t.a 0 dst off t.len
 end
 
 (* -- DIR compilation ------------------------------------------------ *)
@@ -87,12 +103,19 @@ let rec address_ordered = function
    pointer to a fresh block of that value, and fills its run of slots
    at the level where it ends. Blocks are thus numbered in address
    order. *)
-let build ?(root_bits = 16) prefixes =
+let build ?into ?(root_bits = 16) prefixes =
   if root_bits < 8 || root_bits > 24 then
     invalid_arg "Flat_lpm.build: root_bits outside [8, 24]";
   let levels = (32 - root_bits + 7) / 8 in
   let pad = root_bits + (8 * levels) - 32 in
-  let root = Array.make (1 lsl root_bits) 0 in
+  let root =
+    match into with
+    | Some old when old.d_root_bits = root_bits ->
+        old.d_self <- ref ();
+        Array.fill old.d_root 0 (Array.length old.d_root) 0;
+        old.d_root
+    | _ -> Array.make (1 lsl root_bits) 0
+  in
   let spill = Gbuf.create 1024 in
   let prefixes =
     if address_ordered prefixes then prefixes
@@ -130,12 +153,18 @@ let build ?(root_bits = 16) prefixes =
       end)
     prefixes;
   let spill = Gbuf.contents spill in
+  let used = Array.length spill in
   {
     d_root_bits = root_bits;
     d_pad = pad;
     d_root = root;
     d_spill = spill;
-    d_spill_base = Array.length spill;
+    d_spill_base = used;
+    d_used = used;
+    d_top = ref used;
+    d_self = ref ();
+    d_src = no_source;
+    d_cells = [];
   }
 
 let rec dir_find spill a e shift =
@@ -153,11 +182,29 @@ let lookup t addr =
 
 (* -- in-place patching (root cells only) ---------------------------- *)
 
-(* The spill array is shared with the source table: [patch] never
-   rewrites existing blocks, it only swaps in an extended copy of the
-   array when a re-pushed cell needs fresh ones, so the source keeps
-   answering from its own reference untouched. *)
-let copy t = { t with d_root = Array.copy t.d_root }
+(* Copies share the spill array: [patch] never rewrites the words a
+   table references, it appends past the array's high-water mark, so
+   every table on the array keeps answering as before. The root is
+   private to each table. A retired root is brought up to date cheaply
+   when it is the unmodified source of [t]: only the runs patched into
+   [t] since the copy differ. *)
+let copy ?into t =
+  let root =
+    match into with
+    | Some old when old.d_self == t.d_src ->
+        List.iter
+          (fun (lo, n) -> Array.blit t.d_root lo old.d_root lo n)
+          t.d_cells;
+        old.d_self <- ref ();
+        old.d_root
+    | Some old
+      when old.d_root_bits = t.d_root_bits && old.d_root != t.d_root ->
+        Array.blit t.d_root 0 old.d_root 0 (Array.length t.d_root);
+        old.d_self <- ref ();
+        old.d_root
+    | _ -> Array.copy t.d_root
+  in
+  { t with d_root = root; d_self = ref (); d_src = t.d_self; d_cells = [] }
 
 let patch t ~budget ~resolve changed =
   let rb = t.d_root_bits in
@@ -168,7 +215,7 @@ let patch t ~budget ~resolve changed =
        (blocks are append-only so shared generations stay valid); once
        the orphans have doubled the build-time spill, force a recompile
        to compact it. *)
-    if Array.length t.d_spill > (2 * t.d_spill_base) + 65_536 then
+    if t.d_used > (2 * t.d_spill_base) + 65_536 then
       raise (Refuse Orphaned_spill);
     (* Each changed prefix covers an aligned run of independently
        writable root cells — a single cell when it is longer than the
@@ -201,7 +248,7 @@ let patch t ~budget ~resolve changed =
        case), so a cell costs one probe per leaf run under it. *)
     let pad = t.d_pad in
     let cell_bits = 32 + pad - rb in
-    let base_blocks = Array.length t.d_spill lsr 8 in
+    let base_blocks = t.d_used lsr 8 in
     let gb = Gbuf.create 256 in
     (* probe at padded address [pa]: the result holds for the rest of
        the matched prefix's aligned run (one address on miss) *)
@@ -223,7 +270,7 @@ let patch t ~budget ~resolve changed =
       end
     in
     (* compile every cell before touching the table, then install the
-       extended spill before the root pointers into it *)
+       fresh blocks before the root pointers into them *)
     let writes =
       List.concat_map
         (fun (lo, n) ->
@@ -232,9 +279,28 @@ let patch t ~budget ~resolve changed =
               (i, fill (i lsl cell_bits) cell_bits)))
         merged
     in
-    if Gbuf.length gb > 0 then
-      t.d_spill <- Array.append t.d_spill (Gbuf.contents gb);
+    let fresh = Gbuf.length gb in
+    if fresh > 0 then begin
+      let used = t.d_used in
+      (* words past the high-water mark belong to no table, so the
+         newest table on the array may write them in place; any other
+         grows into a new array and leaves the old one to its sharers *)
+      if not (!(t.d_top) = used && used + fresh <= Array.length t.d_spill)
+      then begin
+        let cap = max (2 * Array.length t.d_spill) (used + fresh) in
+        let a = Array.make cap 0 in
+        Array.blit t.d_spill 0 a 0 used;
+        t.d_spill <- a;
+        t.d_top <- ref used
+      end;
+      Gbuf.blit gb t.d_spill used;
+      t.d_used <- used + fresh;
+      t.d_top := used + fresh
+    end;
     List.iter (fun (i, e) -> Array.unsafe_set t.d_root i e) writes;
+    t.d_self <- ref ();
+    if t.d_src != no_source then
+      t.d_cells <- List.rev_append merged t.d_cells;
     Ok cells
   with Refuse r -> Error r
 

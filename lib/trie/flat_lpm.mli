@@ -27,13 +27,20 @@
     the authoritative {!Lpm}/{!Bintrie} view and either patch or
     rebuild the table; a patch that exceeds its cell budget, or that
     finds the spill due for compaction, is refused and the caller
-    rebuilds. *)
+    rebuilds.
+
+    A writer that publishes a sequence of tables can keep its memory
+    traffic proportional to the delta: {!copy} [~into] and {!build}
+    [~into] reuse the root of a table no reader can reach any more
+    instead of allocating a fresh [2^root_bits]-slot one. The caller
+    guarantees that no reader can reach a table whose root it hands
+    over, and never uses that table again. *)
 
 open Cfca_prefix
 
 type t
 
-val build : ?root_bits:int -> (Prefix.t * int) list -> t
+val build : ?into:t -> ?root_bits:int -> (Prefix.t * int) list -> t
 (** Compile a prefix set. Later bindings of a repeated prefix win,
     matching {!Lpm.add}; nested (overlapping) prefixes are accepted,
     every slot holding its longest match.
@@ -48,8 +55,12 @@ val build : ?root_bits:int -> (Prefix.t * int) list -> t
     slots) against spill reads per lookup and against how many root
     cells a short-prefix delta covers when {!patch}ed.
 
+    [into], a dead table of the same stride, lends its root: it is
+    zeroed and refilled instead of allocating a new one, and [into]
+    must not be used again. One of another stride is ignored.
+
     @raise Invalid_argument on a negative payload or [root_bits]
-    outside [8, 24]. *)
+    outside [8, 24]; [into]'s root is then unspecified. *)
 
 val lookup : t -> Ipv4.t -> int
 (** Longest-prefix match. Returns {!miss} ([-1]) when no prefix covers
@@ -71,13 +82,20 @@ val result_length : int -> int
 val encode : value:int -> length:int -> int
 (** The encoding used by {!lookup} results (exposed for tests). *)
 
-val copy : t -> t
-(** A patchable duplicate: the root array is copied, the spill blocks
-    are shared — safe because {!patch} writes root cells only and, when
-    a re-pushed cell needs fresh spill blocks, appends them to a private
-    extended copy of the spill array rather than rewriting the shared
-    one. Patching the copy never disturbs the source, so published
-    generations stay immutable. *)
+val copy : ?into:t -> t -> t
+(** A patchable duplicate with a root of its own; the spill array is
+    shared. Sharing is safe because {!patch} writes root cells only and
+    appends fresh spill blocks past every word any table on the array
+    references. Patching the copy never disturbs the source, so
+    published generations stay immutable.
+
+    Without [into] the root is a fresh copy of [t]'s, O(2^root_bits).
+    [into], a dead table, lends its root instead. When [into] is the
+    source [t] was copied from, unmodified since (not patched and not
+    lent), only the root runs patched into [t] since that copy are
+    written into it: O(cells changed). Otherwise [t]'s whole root is
+    copied into it, or, for a stride other than [t]'s, into a fresh
+    array. Either way [into] must not be used again. *)
 
 (** Why {!patch} declined to write. Either way the table is untouched
     and the caller falls back to a full {!build}. *)
@@ -85,8 +103,9 @@ type refusal =
   | Over_budget  (** The merged delta covers more than [budget] root cells. *)
   | Orphaned_spill
       (** Spill blocks orphaned by earlier patches have grown the spill
-          past twice its build-time size plus 65536 words: the table is
-          due for the compaction a full {!build} performs. *)
+          words the table references past twice their build-time count
+          plus 65536: the table is due for the compaction a full
+          {!build} performs. *)
 
 val patch :
   t ->
@@ -101,11 +120,18 @@ val patch :
     trie) returning the {!encode}d result for an address, or {!miss}
     when nothing covers it; the encoded match length lets the patcher
     recognise uniform ranges from a single probe, so a cell costs one
-    probe per leaf run under it. Cells that still hold prefixes longer
-    than the root stride are compiled into fresh spill chains appended
-    past the live spill blocks (never rewriting existing ones — see
-    {!copy}); re-pushing a previously spilled cell orphans its old
-    chain until the next full {!build} compacts the table.
+    probe per leaf run under it. [resolve] must therefore answer from
+    a non-overlapping prefix set (a forwarding cover): a match is taken
+    to hold for the rest of its prefix's range, and a miss for its one
+    address only. Cells that still hold prefixes longer than the root
+    stride are compiled into fresh spill chains appended past the spill
+    words the table references (never rewriting existing ones — see
+    {!copy}): in place when no other table has appended to the shared
+    array since and it has room, otherwise into a new array of twice
+    the size, which the older tables do not see. Re-pushing a
+    previously spilled cell orphans its old chain until the next full
+    {!build} compacts the table. The cost is O(cells rewritten) plus,
+    rarely, the growth copy.
 
     Returns [Ok cells] (the number of root cells rewritten, after
     merging nested deltas), or [Error] with the {!refusal}. Refusals
@@ -114,4 +140,13 @@ val patch :
     treated as unspecified and rebuilt. *)
 
 val memory_words : t -> int
-(** Total words of flat-array payload (root + spill blocks). *)
+(** Words of flat-array payload the table references: its root plus
+    the spill words it uses. Spill capacity past those, and words that
+    only newer tables on a shared array use, are not counted. *)
+
+val layout : t -> int * int * int array * int array * int
+(** The compiled layout alone, for comparisons and digests: root
+    stride, pad bits, root, the spill words the table references, and
+    the spill size at build time. Two tables with equal layouts answer
+    every lookup alike. The root is the table's own array: read it
+    only. *)

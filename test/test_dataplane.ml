@@ -445,10 +445,11 @@ let test_patch_path_allocation () =
 
 module Plane = Cfca_mt.Plane
 
-(* One control plane feeding both compiled tables at a /16 root stride:
-   the snapshot hears every IN_FIB flip, and the plane's delta collects
-   every changed prefix (next-hop rewrites included, since its payloads
-   are next-hops). *)
+(* One control plane feeding both compiled tables, the snapshot at a /16
+   root stride and the plane at [root_bits] (default 16): the snapshot
+   hears every IN_FIB flip, and the plane's delta collects every
+   changed prefix (next-hop rewrites included, since its payloads are
+   next-hops). *)
 type rig = {
   rm : Route_manager.t;
   snap : Fib_snapshot.t;
@@ -456,7 +457,7 @@ type rig = {
   delta : (Prefix.t, unit) Hashtbl.t;
 }
 
-let refusal_rig ~patch_budget routes =
+let refusal_rig ?(root_bits = 16) ~patch_budget routes =
   let snap = Fib_snapshot.create ~patch_budget ~root_bits:16 () in
   let delta = Hashtbl.create 64 in
   let rm =
@@ -474,7 +475,7 @@ let refusal_rig ~patch_budget routes =
   let tree = Route_manager.tree rm in
   Fib_snapshot.refresh snap tree;
   let plane =
-    Plane.create ~patch_budget ~root_bits:16 ~readers:1 ~default_nh:9
+    Plane.create ~patch_budget ~root_bits ~readers:1 ~default_nh:9
       (Fib_snapshot.cover tree)
   in
   Hashtbl.reset delta;
@@ -601,6 +602,218 @@ let test_refusal_orphaned_spill () =
   Route_manager.announce r.rm (host 201) 3;
   check_int "patching resumes after the rebuild" 2 (publish r (take_delta r))
 
+(* -- recycled roots and the shared spill ----------------------------- *)
+
+let alloc_words () =
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* A snapshot's full rebuild compiles into the root of the table it
+   replaces, which never leaves the snapshot. *)
+let test_full_refresh_reuses_root () =
+  let snap, rm = patching_fixture ~root_bits:16 ~patch_budget:4096 in
+  Route_manager.load rm
+    (List.to_seq
+       (List.init 16 (fun i -> (Prefix.make (Ipv4.of_int (i lsl 20)) 12, i + 1))));
+  let tree = Route_manager.tree rm in
+  Fib_snapshot.refresh snap tree;
+  Route_manager.announce rm (Prefix.make (Ipv4.of_int (1 lsl 20)) 14) 40;
+  Fib_snapshot.invalidate snap;
+  let w0 = alloc_words () in
+  Fib_snapshot.refresh snap tree;
+  let words = alloc_words () -. w0 in
+  check_int "a full rebuild" 2 (Fib_snapshot.stats snap).Fib_snapshot.full_rebuilds;
+  if words >= float_of_int (1 lsl 16) /. 2.0 then
+    Alcotest.failf "the rebuild allocated %.0f words, a 2^16-slot root's worth"
+      words;
+  let st = Random.State.make [| 0x5EC0 |] in
+  for _ = 1 to 2_000 do
+    let a = Ipv4.random st in
+    check "agreement" true
+      (Bintrie.Node.equal
+         (Bintrie.lookup_in_fib tree a)
+         (Fib_snapshot.lookup snap tree a))
+  done
+
+(* 600 nested routes of /12 to /28 over next hops 1-7. *)
+let recycling_routes st =
+  Array.init 600 (fun i ->
+      (Prefix.random st ~min_len:12 ~max_len:28 (), 1 + (i mod 7)))
+
+(* [n] route changes: announce a prefix of /16 to /32 inside a loaded
+   route with a fresh next hop, or withdraw the latest announcement. *)
+let random_burst r st routes announced n =
+  for _ = 1 to n do
+    match !announced with
+    | q :: rest when Random.State.int st 3 = 0 ->
+        Route_manager.withdraw r.rm q;
+        announced := rest
+    | _ ->
+        let base, _ = routes.(Random.State.int st (Array.length routes)) in
+        let len = max (Prefix.length base) (16 + Random.State.int st 17) in
+        let q = Prefix.make (Prefix.random_member st base) len in
+        Route_manager.announce r.rm q (1 + Random.State.int st 30);
+        announced := q :: !announced
+  done
+
+(* A prefix's boundary probes: just outside it, and its own addresses
+   (all of them, or its ends plus a sample). *)
+let boundary_probes st q =
+  let lo = Ipv4.to_int (Prefix.network q)
+  and hi = Ipv4.to_int (Prefix.last_address q) in
+  List.map Ipv4.of_int
+    (List.filter (fun a -> a >= 0 && a <= 0xFFFF_FFFF) [ lo - 1; hi + 1 ])
+  @ Cfca_check.Oracle.addresses_of q st
+
+let agrees_with_fresh label flat cover probes =
+  let fresh = Flat_lpm.build cover in
+  List.iter
+    (fun a ->
+      if Flat_lpm.lookup flat a <> Flat_lpm.lookup fresh a then
+        Alcotest.failf "%s: diverges from a fresh build at %s" label
+          (Ipv4.to_string a))
+    probes
+
+(* One reader that unpins between publishes: every patched publish
+   after the first reuses the root the collect before it freed, so it
+   allocates far less than a /24 root, and every generation answers
+   like a fresh build on the boundaries of every delta so far. One
+   burst is a full compile, after which the freed root is no source of
+   the current table and must be brought up to date in full. *)
+let test_recycled_root_single_reader () =
+  let st = Random.State.make [| 0x5EC1 |] in
+  let routes = recycling_routes st in
+  let r =
+    refusal_rig ~root_bits:24 ~patch_budget:32768 (Array.to_list routes)
+  in
+  let tree = Route_manager.tree r.rm in
+  let reader = Plane.Reader.make r.plane 0 in
+  let announced = ref [] and probes = ref [] in
+  let copied = ref false and patched = ref 0 and burst = ref 0 in
+  while !patched < 50 && !burst < 100 do
+    incr burst;
+    random_burst r st routes announced 8;
+    let delta = take_delta r in
+    probes := List.concat_map (boundary_probes st) delta @ !probes;
+    let cover = Fib_snapshot.cover tree in
+    if !burst = 25 then ignore (Plane.publish r.plane cover)
+    else begin
+      let p0 = Plane.patched_publishes r.plane in
+      let w0 = alloc_words () in
+      ignore
+        (Plane.publish_delta r.plane ~changed:delta ~resolve:(plane_resolve r)
+           cover);
+      let words = alloc_words () -. w0 in
+      if !copied && words >= float_of_int (1 lsl 24) /. 16.0 then
+        Alcotest.failf "burst %d: publish_delta allocated %.0f words" !burst
+          words;
+      if delta <> [] then begin
+        copied := true;
+        if Plane.patched_publishes r.plane > p0 then incr patched
+      end
+    end;
+    let g = Plane.Reader.pin reader in
+    agrees_with_fresh
+      (Printf.sprintf "burst %d" !burst)
+      g.Plane.g_flat cover !probes;
+    Plane.Reader.unpin reader;
+    ignore (Plane.collect r.plane)
+  done;
+  check_int "patched bursts" 50 !patched
+
+(* A plane over [recycling_routes] at a /16 stride, with a helper that
+   applies one burst, publishes its delta and collects. *)
+let recycling_plane seed =
+  let st = Random.State.make [| seed |] in
+  let routes = recycling_routes st in
+  let r = refusal_rig ~patch_budget:4096 (Array.to_list routes) in
+  let announced = ref [] in
+  let cover () = Fib_snapshot.cover (Route_manager.tree r.rm) in
+  let burst () =
+    random_burst r st routes announced 8;
+    take_delta r
+  in
+  let publish_burst () =
+    let delta = burst () in
+    check "the burst moved the FIB" true (delta <> []);
+    ignore
+      (Plane.publish_delta r.plane ~changed:delta ~resolve:(plane_resolve r)
+         (cover ()));
+    ignore (Plane.collect r.plane);
+    delta
+  in
+  let republish () =
+    ignore
+      (Plane.publish_delta r.plane ~changed:[] ~resolve:(plane_resolve r)
+         (cover ()))
+  in
+  (st, r, cover, burst, publish_burst, republish)
+
+(* A reader pins a generation that shares its table with an older one
+   (an empty-delta republish), and holds it across two patched
+   publishes and collects: the first collect frees the older
+   generation, whose table the pinned one still reads. *)
+let test_pinned_generation_kept () =
+  let st, r, cover, _, publish_burst, republish = recycling_plane 0x5EC2 in
+  let reader = Plane.Reader.make r.plane 0 in
+  republish ();
+  let g = Plane.Reader.pin reader in
+  let pinned_cover = cover () in
+  let d1 = publish_burst () in
+  let d2 = publish_burst () in
+  check "the pinned generation stays live" true (Atomic.get g.Plane.g_live);
+  let probes =
+    List.concat_map (boundary_probes st) (d1 @ d2)
+    @ List.init 1000 (fun _ -> Ipv4.random st)
+  in
+  agrees_with_fresh "pinned generation" g.Plane.g_flat pinned_cover probes;
+  Plane.Reader.unpin reader;
+  for i = 1 to 4 do
+    let d = publish_burst () in
+    agrees_with_fresh
+      (Printf.sprintf "publish %d after the unpin" i)
+      (Plane.current r.plane).Plane.g_flat (cover ())
+      (List.concat_map (boundary_probes st) d @ probes)
+  done
+
+(* An empty-delta republish, then a collect that frees the older
+   generation: its table is the current one's, so the next patched
+   publish must not write into it. The same again with a full compile
+   before the patched publish, the generation held by a reader. *)
+let test_empty_delta_then_collect () =
+  let st, r, cover, burst, publish_burst, republish = recycling_plane 0x5EC3 in
+  let reader = Plane.Reader.make r.plane 0 in
+  let d1 = publish_burst () in
+  republish ();
+  check_int "the collect frees the older generation" 1 (Plane.collect r.plane);
+  let g = Plane.Reader.pin reader in
+  let g_cover = cover () in
+  let d3 = publish_burst () in
+  let probes =
+    List.concat_map (boundary_probes st) (d1 @ d3)
+    @ List.init 1000 (fun _ -> Ipv4.random st)
+  in
+  agrees_with_fresh "current generation at the patched publish" g.Plane.g_flat
+    g_cover probes;
+  republish ();
+  let g = Plane.Reader.pin reader in
+  let g_cover = cover () in
+  check_int "the collect frees both older generations" 2
+    (Plane.collect r.plane);
+  let d4 = burst () in
+  ignore (Plane.publish r.plane (cover ()));
+  ignore (Plane.collect r.plane);
+  let d5 = publish_burst () in
+  agrees_with_fresh "held generation after a full compile" g.Plane.g_flat
+    g_cover
+    (List.concat_map (boundary_probes st) (d4 @ d5) @ probes);
+  Plane.Reader.unpin reader;
+  ignore (Plane.collect r.plane);
+  let d6 = publish_burst () in
+  agrees_with_fresh "current generation" (Plane.current r.plane).Plane.g_flat
+    (cover ())
+    (List.concat_map (boundary_probes st) (d4 @ d5 @ d6) @ probes)
+
 let () =
   Alcotest.run "dataplane"
     [
@@ -612,6 +825,8 @@ let () =
             test_fib_snapshot_updates;
           Alcotest.test_case "patch path + allocation gate" `Quick
             test_patch_path_allocation;
+          Alcotest.test_case "full rebuild reuses the root" `Quick
+            test_full_refresh_reuses_root;
         ] );
       ( "refusals",
         [
@@ -619,6 +834,15 @@ let () =
             test_refusal_over_budget;
           Alcotest.test_case "orphaned spill falls back to a fresh build"
             `Quick test_refusal_orphaned_spill;
+        ] );
+      ( "recycling",
+        [
+          Alcotest.test_case "single reader: O(delta) publishes at /24" `Quick
+            test_recycled_root_single_reader;
+          Alcotest.test_case "a pinned generation is never rewritten" `Quick
+            test_pinned_generation_kept;
+          Alcotest.test_case "empty-delta republish, collect, publish" `Quick
+            test_empty_delta_then_collect;
         ] );
       ( "table_set",
         [

@@ -376,6 +376,37 @@ let test_fib_snapshot_cover () =
       (Nexthop.to_int (Cfca_check.Oracle.lookup oracle a))
   done
 
+(* The cover is built in one right-to-left walk; it must equal the
+   list [iter_in_fib] visits, in address order, on random trees before
+   and after updates. *)
+let test_fib_snapshot_cover_order () =
+  let module RM = Cfca_core.Route_manager in
+  let module Bt = Cfca_trie.Bintrie in
+  let in_fib_order tree =
+    let acc = ref [] in
+    Bt.iter_in_fib
+      (fun n -> acc := (Bt.Node.prefix tree n, Bt.Node.installed_nh tree n) :: !acc)
+      tree;
+    List.rev !acc
+  in
+  for seed = 1 to 20 do
+    let st = Random.State.make [| seed; 0xC0DE |] in
+    let routes = random_routes st (50 * seed) in
+    let rm = RM.create ~default_nh () in
+    RM.load rm (List.to_seq routes);
+    let same label =
+      let tree = RM.tree rm in
+      check label true (Cfca_dataplane.Fib_snapshot.cover tree = in_fib_order tree)
+    in
+    same "cover = iter_in_fib order";
+    List.iteri
+      (fun i (p, _) ->
+        if i mod 3 = 0 then RM.withdraw rm p
+        else RM.announce rm p (Nexthop.of_int (1 + Random.State.int st 200)))
+      (random_routes st 40);
+    same "cover = iter_in_fib order after updates"
+  done
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "mt"
@@ -416,5 +447,7 @@ let () =
         [
           Alcotest.test_case "cover: non-overlapping, equivalent" `Quick
             test_fib_snapshot_cover;
+          Alcotest.test_case "cover: iter_in_fib order" `Quick
+            test_fib_snapshot_cover_order;
         ] );
     ]

@@ -495,7 +495,8 @@ let prop_flat_order_independent =
       let ordered = by_prefix routes in
       List.for_all
         (fun (_, root_bits) ->
-          Flat_lpm.build ~root_bits routes = Flat_lpm.build ~root_bits ordered)
+          Flat_lpm.layout (Flat_lpm.build ~root_bits routes)
+          = Flat_lpm.layout (Flat_lpm.build ~root_bits ordered))
         flat_strides)
 
 (* Seeded nested sets for the layout pins: /0, a /32, a prefix nested
@@ -522,11 +523,11 @@ let pinned_routes seed =
   ((Prefix.default, 1) :: (Prefix.make (Ipv4.random st) 32, 2) :: outer)
   @ inner @ rebound
 
-(* The hex digest of each marshalled table, at strides 8, 13, 16 and
-   24, pinned from the earlier compiler, which leaf-pushed a binary trie
-   of the list. Equal digests mean the same root cells, the same spill
-   blocks in the same order and the same spill base, so a layout change
-   shows here even while every lookup still agrees. *)
+(* The hex digest of each marshalled table layout, at strides 8, 13,
+   16 and 24, pinned from the earlier compiler, which leaf-pushed a
+   binary trie of the list. Equal digests mean the same root cells, the
+   same spill blocks in the same order and the same spill base, so a
+   layout change shows here even while every lookup still agrees. *)
 let test_flat_layout_pinned () =
   List.iter
     (fun (name, routes, digests) ->
@@ -537,7 +538,8 @@ let test_flat_layout_pinned () =
             (Printf.sprintf "%s /%d" name root_bits)
             want
             (Digest.to_hex
-               (Digest.string (Marshal.to_string t [ Marshal.No_sharing ]))))
+               (Digest.string
+                  (Marshal.to_string (Flat_lpm.layout t) [ Marshal.No_sharing ]))))
         [ 8; 13; 16; 24 ] digests)
     [
       ( "seed 1",
@@ -565,6 +567,91 @@ let test_flat_layout_pinned () =
           "9c13c51c1a5e41adc2c368bfd725f41d";
         ] );
     ]
+
+(* Copies share one spill array, and [copy ~into] reuses a dead root.
+   Two copies of one source patched in turn must both keep their
+   blocks: the first appends in place past the source's words, the
+   second into a new array. A lent root must come out equal to a plain
+   copy's, whether it is the copy's unmodified source (only the patched
+   runs are written) or not (the whole root is). *)
+let test_flat_shared_spill_and_lent_roots () =
+  let st = Random.State.make [| 0x5B11 |] in
+  let root_bits = 16 in
+  (* The tables hold partitions of the address space, covers as
+     [patch]'s resolver requires. [carve l n v0] carves [n] random
+     prefixes of /8 to /32 out of [l], splitting the prefix holding a
+     random address down to the new length; each sibling split off
+     keeps the old value. *)
+  let rec carve l n v0 =
+    if n = 0 then l
+    else begin
+      let a = Ipv4.random st and len = 8 + Random.State.int st 25 in
+      let q, old = List.find (fun (q, _) -> Prefix.mem a q) l in
+      let rec split q acc =
+        if Prefix.length q >= len then (q, v0) :: acc
+        else
+          let bit = Ipv4.bit a (Prefix.length q) in
+          split (Prefix.child q bit) ((Prefix.child q (not bit), old) :: acc)
+      in
+      carve
+        (split q (List.filter (fun (q', _) -> not (Prefix.equal q q')) l))
+        (n - 1) (v0 + 1)
+    end
+  in
+  let resolve lpm a =
+    match Lpm.lookup lpm a with
+    | None -> Flat_lpm.miss
+    | Some (q, v) -> Flat_lpm.encode ~value:v ~length:(Prefix.length q)
+  in
+  (* patch [t], the table of [l], into the table of [l'] *)
+  let patch t l l' =
+    let changed =
+      List.filter_map
+        (fun (q, v) -> if List.mem (q, v) l then None else Some q)
+        l'
+    in
+    match
+      Flat_lpm.patch t ~budget:65_536 ~resolve:(resolve (Lpm.of_list l'))
+        changed
+    with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "patch refused"
+  in
+  let answers name t l =
+    let lpm = Lpm.of_list l in
+    List.iter
+      (fun a ->
+        if not (agrees_with_lpm lpm t a) then
+          Alcotest.failf "%s: wrong answer at %s" name (Ipv4.to_string a))
+      (probes_for l st)
+  in
+  (* a patched source: its spill array has room past its words *)
+  let l0 = carve [ (Prefix.default, 0) ] 300 1 in
+  let src = Flat_lpm.copy (Flat_lpm.build ~root_bits l0) in
+  let ls = carve l0 4 1000 in
+  patch src l0 ls;
+  let a = Flat_lpm.copy src and b = Flat_lpm.copy src in
+  let la = carve ls 40 2000 and lb = carve ls 40 3000 in
+  patch a ls la;
+  patch b ls lb;
+  answers "source" src ls;
+  answers "first copy" a la;
+  answers "second copy" b lb;
+  let plain = Flat_lpm.layout (Flat_lpm.copy a) in
+  let a1 = Flat_lpm.copy ~into:src a in
+  check "the source's lent root = a plain copy" true
+    (Flat_lpm.layout a1 = plain);
+  let a2 = Flat_lpm.copy ~into:b a1 in
+  check "another lent root = a plain copy" true (Flat_lpm.layout a2 = plain);
+  (* a source patched after the copy no longer matches it *)
+  let c = Flat_lpm.copy a2 in
+  let l2 = carve la 20 4000 in
+  patch a2 la l2;
+  answers "patched after the copy" a2 l2;
+  let c1 = Flat_lpm.copy ~into:a2 c in
+  check "a modified source's lent root = a plain copy" true
+    (Flat_lpm.layout c1 = plain);
+  answers "copy on a lent root" c1 la
 
 (* The hot-path contract: steady-state lookups allocate nothing. *)
 let test_flat_alloc_free () =
@@ -630,6 +717,8 @@ let () =
             test_flat_alloc_free;
           Alcotest.test_case "layout pinned by digest" `Quick
             test_flat_layout_pinned;
+          Alcotest.test_case "shared spill and lent roots" `Quick
+            test_flat_shared_spill_and_lent_roots;
         ] );
       ( "flat-lpm-properties",
         qt
