@@ -731,21 +731,15 @@ let update_target mult ~emit_json =
         ~root_bits:inc_root_bits ()
     in
     let touched = ref [] in
-    let dirtied = ref false in
     let want_touched = Option.is_some gate in
     Cfca_core.Route_manager.set_sink rm (fun tr op ->
-        match op with
-        | Cfca_core.Fib_op.Install (nd, _) | Cfca_core.Fib_op.Remove (nd, _) ->
-            let p = Cfca_trie.Bintrie.Node.prefix tr nd in
-            Cfca_dataplane.Fib_snapshot.invalidate_prefix snap p;
-            dirtied := true;
-            if want_touched then touched := p :: !touched
-        | Cfca_core.Fib_op.Update (nd, _, _) ->
-            (* pure next-hop rewrite: the compiled payloads are node
-               indices, so the snapshot needs no refresh — but the
-               answer the oracle sees moved, so probe the range *)
-            if want_touched then
-              touched := Cfca_trie.Bintrie.Node.prefix tr nd :: !touched);
+        Cfca_dataplane.Fib_snapshot.sink snap tr op;
+        (* every op, a next-hop rewrite included, moves an answer the
+           oracle sees, so the gate probes its range *)
+        if want_touched then
+          touched :=
+            Cfca_trie.Bintrie.Node.prefix tr (Cfca_core.Fib_op.node op)
+            :: !touched);
     let tree = Cfca_core.Route_manager.tree rm in
     Cfca_dataplane.Fib_snapshot.refresh snap tree;
     let co = Cfca_core.Coalesce.create ~expect:burst_size () in
@@ -761,10 +755,7 @@ let update_target mult ~emit_json =
         touched := [];
         let net = Cfca_core.Coalesce.flush co in
         List.iter (Cfca_core.Route_manager.apply rm) net;
-        if !dirtied then begin
-          Cfca_dataplane.Fib_snapshot.refresh snap tree;
-          dirtied := false
-        end;
+        Cfca_dataplane.Fib_snapshot.refresh snap tree;
         incr bursts;
         match gate with None -> () | Some f -> f net snap tree !touched
       done
@@ -1025,36 +1016,14 @@ let mt_lookup_target mult ~emit_json ~domain_counts ~min_speedup =
     let rm = Cfca_core.Route_manager.create ~default_nh () in
     Cfca_core.Route_manager.load rm (Rib.to_seq rib);
     let tree = Cfca_core.Route_manager.tree rm in
-    let changed_tbl = Hashtbl.create 64 in
-    let changed = ref [] in
-    Cfca_core.Route_manager.set_sink rm (fun tr op ->
-        (* the plane's payloads are next-hops, so rewrites matter too *)
-        let nd =
-          match op with
-          | Cfca_core.Fib_op.Install (nd, _)
-          | Cfca_core.Fib_op.Remove (nd, _)
-          | Cfca_core.Fib_op.Update (nd, _, _) ->
-              nd
-        in
-        let p = Cfca_trie.Bintrie.Node.prefix tr nd in
-        if not (Hashtbl.mem changed_tbl p) then begin
-          Hashtbl.add changed_tbl p ();
-          changed := p :: !changed
-        end);
+    let record_change, take_changed = Cfca_core.Fib_op.changes_sink () in
+    Cfca_core.Route_manager.set_sink rm record_change;
     let cover0 = Cfca_dataplane.Fib_snapshot.cover tree in
     let new_plane () =
       Cfca_mt.Plane.create ~root_bits:24 ~readers:1 ~default_nh cover0
     in
     let plane = new_plane () and full_plane = new_plane () in
-    let resolve addr =
-      let nd = Cfca_trie.Bintrie.lookup_in_fib tree addr in
-      if Cfca_trie.Bintrie.is_nil nd then Cfca_trie.Flat_lpm.miss
-      else
-        Cfca_trie.Flat_lpm.encode
-          ~value:
-            (Nexthop.to_int (Cfca_trie.Bintrie.Node.installed_nh tree nd))
-          ~length:(Cfca_trie.Bintrie.Node.depth tree nd)
-    in
+    let resolve = Cfca_dataplane.Fib_snapshot.resolve tree in
     let co = Cfca_core.Coalesce.create ~expect:burst () in
     let patched = ref 0 and full = ref 0 in
     let patched_s = ref 0.0 and full_s = ref 0.0 in
@@ -1067,15 +1036,14 @@ let mt_lookup_target mult ~emit_json ~domain_counts ~min_speedup =
       for i = b * burst to ((b + 1) * burst) - 1 do
         Cfca_core.Coalesce.add co churn.(i)
       done;
-      changed := [];
-      Hashtbl.reset changed_tbl;
       List.iter (Cfca_core.Route_manager.apply rm) (Cfca_core.Coalesce.flush co);
-      if !changed <> [] then begin
+      let changed = take_changed () in
+      if changed <> [] then begin
         let cover = Cfca_dataplane.Fib_snapshot.cover tree in
         let before = Cfca_mt.Plane.patched_publishes plane in
         let dt =
           timed (fun () ->
-              Cfca_mt.Plane.publish_delta plane ~changed:!changed ~resolve cover)
+              Cfca_mt.Plane.publish_delta plane ~changed ~resolve cover)
         in
         (* a refused patch fell back to a full compile: not a patch sample *)
         if Cfca_mt.Plane.patched_publishes plane > before then begin

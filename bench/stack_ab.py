@@ -30,12 +30,20 @@ Exits 1 when a run is not "correct": true, or when l1_miss_pct,
 l2_miss_pct, fib_ratio or attempted differ between the two sides of a
 pair: these are deterministic per seed. Timing verdicts are printed,
 never gated.
+
+It also prints where each side's executable places Shard.bump
+(lib/mt/shard.ml) within its 64-byte cache line, read with nm from
+.bench_build/default/bench/stack/main.exe. Plane lookups call it out
+of line twice per packet, and plane_mpps moves by about 10 % with that
+offset alone, so when the two offsets differ the plane_mpps line says
+so. Without nm the offsets are not reported and the A/B carries on.
 """
 
 import argparse
 import json
 import math
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -45,6 +53,8 @@ import time
 AB_DIR = os.path.join(".bench_build", "ab")
 PARENT_DIR = os.path.join(AB_DIR, "parent")
 SAME_PER_SEED = ("l1_miss_pct", "l2_miss_pct", "fib_ratio")
+EXE = os.path.join(".bench_build", "default", "bench", "stack", "main.exe")
+BUMP = re.compile(r"^([0-9a-fA-F]+) [tT] camlCfca_mt__Shard\.bump_[0-9]+$")
 
 
 def git(*args):
@@ -90,6 +100,29 @@ def run(side, workload, seed, seconds, log):
     return result if ok else None
 
 
+def bump_offset(root):
+    """Shard.bump's offset within its 64-byte line in the executable under
+    root, or None after saying why it is unknown."""
+    try:
+        out = subprocess.run(["nm", os.path.join(root, EXE)], check=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                             text=True).stdout
+    except FileNotFoundError:
+        print("stack_ab: nm not found: Shard.bump offsets not reported",
+              file=sys.stderr)
+        return None
+    except subprocess.CalledProcessError:
+        print(f"stack_ab: nm failed on {os.path.join(root, EXE)}", file=sys.stderr)
+        return None
+    for line in out.splitlines():
+        m = BUMP.match(line)
+        if m:
+            return int(m.group(1), 16) % 64
+    print(f"stack_ab: no Shard.bump symbol in {os.path.join(root, EXE)}",
+          file=sys.stderr)
+    return None
+
+
 def quartiles(vals):
     med = statistics.median(vals)
     if len(vals) < 2:
@@ -98,7 +131,7 @@ def quartiles(vals):
     return med, q1, q3
 
 
-def summarise(workload, pairs, spec):
+def summarise(workload, pairs, spec, bump):
     print(f"\n{workload}: {len(pairs)} pairs")
     print(f"  {'metric':14} {'parent median [q1-q3]':>30} {'change median [q1-q3]':>30}"
           f" {'spread p/c':>11} {'won':>6}  verdict")
@@ -124,6 +157,11 @@ def summarise(workload, pairs, spec):
               f" {cm:10.4g} [{cq1:8.4g}-{cq3:8.4g}]"
               f" {spread_p:5.2f}/{spread_c:<5.2f} {won:>2}/{len(pairs):<3}"
               f"  {' '.join(verdicts) or 'ok'}")
+        if name == "plane_mpps" and None not in bump.values() \
+                and bump["parent"] != bump["change"]:
+            print(f"  {'':14} Shard.bump sits at line offset {bump['parent']}"
+                  f" (parent) vs {bump['change']} (change): code placement"
+                  " alone moves plane_mpps")
 
 
 def main():
@@ -146,6 +184,7 @@ def main():
     print(f"stack_ab: parent {sha}, {args.pairs} pairs on seed {args.seed}, "
           f"results in {log_path}", file=sys.stderr)
     problems = []
+    bump = {}
     with open(log_path, "a") as log:
         for w in workloads:
             pairs = []
@@ -166,8 +205,14 @@ def main():
                                     f"{res['parent']['attempted']} vs "
                                     f"{res['change']['attempted']}")
                 pairs.append(res)
+                if not bump:
+                    bump = {"parent": bump_offset(PARENT_DIR),
+                            "change": bump_offset(".")}
+                    print(f"stack_ab: Shard.bump line offset: parent "
+                          f"{bump['parent']}, change {bump['change']}",
+                          file=sys.stderr)
             if pairs:
-                summarise(w, pairs, spec)
+                summarise(w, pairs, spec, bump)
     for p in problems:
         print(f"stack_ab: {p}", file=sys.stderr)
     sys.exit(1 if problems else 0)

@@ -44,30 +44,51 @@ let fuzz_config ~l1 ~l2 =
     l2_threshold = 3;
   }
 
+(* The data plane both systems feed: the cache pipeline and a compiled
+   snapshot, each through its own sink. A packet refreshes the
+   snapshot first (a no-op while clean), so the compiled table answers
+   every packet, and it must answer with the node the walk finds. *)
+let data_plane ~l1 ~l2 ~seed =
+  let pl = Pipeline.create ~seed (fuzz_config ~l1 ~l2) in
+  let snap = Fib_snapshot.create () in
+  let sink tr op =
+    Fib_snapshot.sink snap tr op;
+    Pipeline.sink pl tr op
+  in
+  let clock = ref 0 in
+  let packet tr a =
+    let n = Bintrie.lookup_in_fib tr a in
+    if Bintrie.is_nil n then
+      failwith
+        (Printf.sprintf "packet %s: no IN_FIB entry covers it"
+           (Ipv4.to_string a));
+    Fib_snapshot.refresh snap tr;
+    let fast = (Fib_snapshot.stats snap).Fib_snapshot.fast_hits in
+    let compiled = Fib_snapshot.lookup snap tr a in
+    if
+      (Fib_snapshot.stats snap).Fib_snapshot.fast_hits = fast
+      || not (Bintrie.Node.equal compiled n)
+    then
+      failwith
+        (Printf.sprintf "packet %s: the compiled snapshot diverges from %s"
+           (Ipv4.to_string a)
+           (Prefix.to_string (Bintrie.Node.prefix tr n)));
+    incr clock;
+    ignore (Pipeline.process pl tr n ~now:(float_of_int !clock *. 1e-4))
+  in
+  (pl, sink, packet)
+
 let cfca ?(l1 = 8) ?(l2 = 16) ~default_nh ~seed () =
   let rm = Route_manager.create ~default_nh () in
-  let pl = Pipeline.create ~seed (fuzz_config ~l1 ~l2) in
-  Route_manager.set_sink rm (Pipeline.sink pl);
-  let clock = ref 0 in
-  let tick () =
-    incr clock;
-    float_of_int !clock *. 1e-4
-  in
+  let pl, sink, packet = data_plane ~l1 ~l2 ~seed in
+  Route_manager.set_sink rm sink;
   {
     sys_name = "cfca";
     sys_default_nh = default_nh;
     sys_load = (fun routes -> Route_manager.load rm (List.to_seq routes));
     sys_announce = Route_manager.announce rm;
     sys_withdraw = Route_manager.withdraw rm;
-    sys_packet =
-      (fun a ->
-        let tr = Route_manager.tree rm in
-        let n = Bintrie.lookup_in_fib tr a in
-        if Bintrie.is_nil n then
-          failwith
-            (Printf.sprintf "packet %s: no IN_FIB entry covers it"
-               (Ipv4.to_string a))
-        else ignore (Pipeline.process pl tr n ~now:(tick ())));
+    sys_packet = (fun a -> packet (Route_manager.tree rm) a);
     sys_lookup = Route_manager.lookup rm;
     sys_entries = (fun () -> Route_manager.entries rm);
     sys_check =
@@ -79,28 +100,15 @@ let cfca ?(l1 = 8) ?(l2 = 16) ~default_nh ~seed () =
 let pfca ?(l1 = 8) ?(l2 = 16) ~default_nh ~seed () =
   let open Cfca_pfca in
   let sys = Pfca.create ~default_nh () in
-  let pl = Pipeline.create ~seed (fuzz_config ~l1 ~l2) in
-  Pfca.set_sink sys (Pipeline.sink pl);
-  let clock = ref 0 in
-  let tick () =
-    incr clock;
-    float_of_int !clock *. 1e-4
-  in
+  let pl, sink, packet = data_plane ~l1 ~l2 ~seed in
+  Pfca.set_sink sys sink;
   {
     sys_name = "pfca";
     sys_default_nh = default_nh;
     sys_load = (fun routes -> Pfca.load sys (List.to_seq routes));
     sys_announce = Pfca.announce sys;
     sys_withdraw = Pfca.withdraw sys;
-    sys_packet =
-      (fun a ->
-        let tr = Pfca.tree sys in
-        let n = Bintrie.lookup_in_fib tr a in
-        if Bintrie.is_nil n then
-          failwith
-            (Printf.sprintf "packet %s: no IN_FIB entry covers it"
-               (Ipv4.to_string a))
-        else ignore (Pipeline.process pl tr n ~now:(tick ())));
+    sys_packet = (fun a -> packet (Pfca.tree sys) a);
     sys_lookup = Pfca.lookup sys;
     sys_entries = (fun () -> Pfca.entries sys);
     sys_check =

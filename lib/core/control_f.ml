@@ -34,6 +34,8 @@ struct
 
     let null_sink (_ : T.t) (_ : t) = ()
 
+    let node = function Install (n, _) | Remove (n, _) | Update (n, _, _) -> n
+
     let table = function
       | Install (_, tbl) | Remove (_, tbl) | Update (_, tbl, _) -> tbl
 
@@ -62,6 +64,29 @@ struct
     let counting_sink () =
       let count = ref 0 in
       ((fun _ _ -> incr count), fun () -> !count)
+
+    module PH = Hashtbl.Make (struct
+      type t = P.t
+
+      let equal = P.equal
+
+      let hash = P.hash
+    end)
+
+    let changes_sink () =
+      let seen = PH.create 64 in
+      let changed = ref [] in
+      ( (fun tr op ->
+          let p = T.Node.prefix tr (node op) in
+          if not (PH.mem seen p) then begin
+            PH.add seen p ();
+            changed := p :: !changed
+          end),
+        fun () ->
+          let l = !changed in
+          changed := [];
+          PH.reset seen;
+          l )
   end
 
   module Aggregation = struct

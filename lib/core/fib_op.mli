@@ -26,6 +26,9 @@ type sink = Bintrie.t -> t -> unit
 val null_sink : sink
 (** Discards every operation — for pure compression measurements. *)
 
+val node : t -> Bintrie.node
+(** The entry an operation touches. *)
+
 val table : t -> Bintrie.table
 (** The table an operation touches. *)
 
@@ -33,3 +36,10 @@ val pp : Bintrie.t -> Format.formatter -> t -> unit
 
 val counting_sink : unit -> sink * (unit -> int)
 (** A sink that counts operations, and a function reading the count. *)
+
+val changes_sink : unit -> sink * (unit -> Prefix.t list)
+(** A sink recording the prefix of every operation, and a function
+    that takes the record and forgets it: each distinct prefix once,
+    the most recent first occurrence first. Every kind counts, since a
+    next-hop rewrite moves a next-hop-keyed table's answers too; this
+    is the changed-prefix set [Cfca_mt.Plane.publish_delta] patches. *)

@@ -100,6 +100,13 @@ let invalidate_prefix t p =
   end;
   mark_dirty t
 
+(* The payloads are node indices: only Install and Remove flip IN_FIB
+   membership, and a next-hop rewrite moves no compiled answer. *)
+let sink t tr = function
+  | Cfca_core.Fib_op.Install (n, _) | Cfca_core.Fib_op.Remove (n, _) ->
+      invalidate_prefix t (Bintrie.Node.prefix tr n)
+  | Cfca_core.Fib_op.Update _ -> ()
+
 (* Register a node as a flat payload, appending a fresh index. A node
    may end up with several indices (one per patched range that resolves
    to it); lookups stay correct because every index maps back to the
@@ -152,27 +159,29 @@ let try_patch t tree =
   Flat_lpm.patch t.flat ~budget:t.patch_budget ~resolve changed
 
 let refresh t tree =
-  let patched =
-    t.epoch > 0 && t.patch_budget > 0
-    && (not t.delta_overflow)
-    && PH.length t.delta > 0
-    (* patches append duplicate payload indices; recompile (compacting
-       the payload table) once they have doubled it *)
-    && t.node_count <= (2 * t.nodes_baseline) + 1024
-    &&
-    match try_patch t tree with
-    | Ok cells ->
-        t.patches <- t.patches + 1;
-        t.patched_cells <- t.patched_cells + cells;
-        true
-    | Error _ -> false
-  in
-  if not patched then full_refresh t tree;
-  PH.reset t.delta;
-  t.delta_overflow <- false;
-  t.dirty <- false;
-  t.dirty_lookups <- 0;
-  t.epoch <- t.epoch + 1
+  if t.dirty then begin
+    let patched =
+      t.epoch > 0 && t.patch_budget > 0
+      && (not t.delta_overflow)
+      && PH.length t.delta > 0
+      (* patches append duplicate payload indices; recompile (compacting
+         the payload table) once they have doubled it *)
+      && t.node_count <= (2 * t.nodes_baseline) + 1024
+      &&
+      match try_patch t tree with
+      | Ok cells ->
+          t.patches <- t.patches + 1;
+          t.patched_cells <- t.patched_cells + cells;
+          true
+      | Error _ -> false
+    in
+    if not patched then full_refresh t tree;
+    PH.reset t.delta;
+    t.delta_overflow <- false;
+    t.dirty <- false;
+    t.dirty_lookups <- 0;
+    t.epoch <- t.epoch + 1
+  end
 
 (* Right child first, so consing builds the address-ordered list (the
    order [Bintrie.iter_in_fib] visits) with no reversal. *)
@@ -189,6 +198,14 @@ let cover tree =
         if Bintrie.is_nil l then acc else go l acc
   in
   go (Bintrie.root tree) []
+
+let resolve tree addr =
+  let node = Bintrie.lookup_in_fib tree addr in
+  if Bintrie.is_nil node then Flat_lpm.miss
+  else
+    Flat_lpm.encode
+      ~value:(Nexthop.to_int (Bintrie.Node.installed_nh tree node))
+      ~length:(Bintrie.Node.depth tree node)
 
 (* The authoritative walk, equivalent to [Bintrie.lookup_in_fib] but
    raising on a coverage lapse instead of returning a sentinel. *)

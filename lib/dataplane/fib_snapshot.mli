@@ -10,13 +10,16 @@
     cost is a couple of flat array reads and zero allocation.
 
     Epoch protocol: writers report changes as they happen — per-prefix
-    through {!invalidate_prefix} (the sink wiring: one call per
-    [Fib_op] that flips IN_FIB membership), or wholesale through
-    {!invalidate} when the extent of the change is unknown (recovery,
-    bulk reload). While dirty, {!lookup} transparently falls back to
-    walking the authoritative tree; after 64 dirty lookups it
-    recompiles and bumps the epoch, so an update burst pays one tree
-    walk per packet briefly instead of a rebuild per update.
+    through {!sink}, the control plane's [Fib_op] sink that records the
+    prefix of every op flipping IN_FIB membership (or directly through
+    {!invalidate_prefix}), or wholesale through {!invalidate} when the
+    extent of the change is unknown (recovery, bulk reload). While
+    dirty, {!lookup} transparently falls back to walking the
+    authoritative tree; after 64 dirty lookups it recompiles and bumps
+    the epoch, so an update burst pays one tree walk per packet briefly
+    instead of a rebuild per update. A writer that refreshes after
+    every burst calls {!refresh} unconditionally: it publishes nothing
+    while the snapshot is clean.
 
     Incremental patching: when every change since the last compile was
     reported per-prefix, the recompile first tries to {e patch} the
@@ -88,10 +91,18 @@ val invalidate_prefix : t -> Prefix.t -> unit
     indices, which a next-hop change does not move. Degenerates to
     {!invalidate} when the tracking table overflows. *)
 
+val sink : t -> Cfca_core.Fib_op.sink
+(** The snapshot's side of the control plane's FIB-op fan-out:
+    [Install] and [Remove] record their prefix through
+    {!invalidate_prefix}; [Update] is ignored, so pure next-hop churn
+    leaves the snapshot clean. *)
+
 val refresh : t -> Bintrie.t -> unit
-(** Publish a fresh generation from the tree's current IN_FIB set and
-    clear the dirty flag: an in-place patch when the recorded delta
-    qualifies, a full recompile otherwise. *)
+(** When dirty, publish a fresh generation from the tree's current
+    IN_FIB set and clear the dirty flag: an in-place patch when the
+    recorded delta qualifies, a full recompile otherwise. A clean
+    snapshot publishes nothing: [epoch] and the counters stay as they
+    are. *)
 
 val lookup : t -> Bintrie.t -> Ipv4.t -> Bintrie.node
 (** The IN_FIB node covering the address. Uses the compiled structure
@@ -107,8 +118,17 @@ val cover : Bintrie.t -> (Prefix.t * Nexthop.t) list
     {!Cfca_trie.Bintrie.iter_in_fib}), built in one walk. This is the
     publication API of the multicore lookup plane — the writer
     compiles this list into an immutable generation
-    ([Cfca_mt.Plane.publish]) after each update burst. The result is
+    ([Cfca_mt.Plane.create], and [publish_delta]'s fallback) and
+    patches from {!resolve} after each update burst. The result is
     non-overlapping by the IN_FIB cover invariant. *)
+
+val resolve : Bintrie.t -> Ipv4.t -> int
+(** The longest match of {!cover} at an address, read off the tree:
+    the {!Cfca_trie.Flat_lpm.encode}d [(next_hop, length)] of the
+    IN_FIB node covering it, or {!Cfca_trie.Flat_lpm.miss} where the
+    cover has a hole (CFCA and PFCA covers have none). This is the
+    resolver [Cfca_mt.Plane.publish_delta] patches a copy of the
+    current generation from. *)
 
 val stats : t -> stats
 (** Cumulative counters. [patches + full_rebuilds] is the total number

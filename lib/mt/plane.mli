@@ -101,9 +101,11 @@ val publish_delta :
     lists every prefix whose forwarding mapping may have moved since
     the current generation (installs, removals, and next-hop rewrites —
     the compiled payloads here are next-hops, so rewrites matter,
-    unlike the node-indexed [Fib_snapshot]). [resolve] is the
-    authoritative post-update longest-prefix match: for a cell base
-    address it returns the {!Cfca_trie.Flat_lpm.encode}d
+    unlike the node-indexed [Fib_snapshot]);
+    [Cfca_core.Fib_op.changes_sink] records exactly this set. [resolve]
+    is the authoritative post-update longest-prefix match,
+    [Cfca_dataplane.Fib_snapshot.resolve tree] for a live trie: for a
+    cell base address it returns the {!Cfca_trie.Flat_lpm.encode}d
     [(next_hop, length)] covering the {e whole} cell, or
     [Flat_lpm.miss] when the cover misses (readers then fall through to
     the default next-hop). An empty [changed] republishes the current

@@ -133,19 +133,10 @@ let run_events ?(window = 100_000) ?(seed = 0x5EED)
      reinstall is not churn: its ops stay out of the fib_ops counter so
      a recovered run scores like an undisturbed one. *)
   let in_recovery = ref false in
-  (* Per-packet fast path: the IN_FIB set compiled into a flat LPM.
-     The sink doubles as the invalidation hook, reporting each changed
-     prefix so the next refresh can patch instead of recompile.
-     Install/Remove flip IN_FIB membership; Update only rewrites a
-     next-hop, which the compiled node-index payloads never encode, so
-     the snapshot stays clean across pure next-hop churn. *)
+  (* Per-packet fast path: the IN_FIB set compiled into a flat LPM,
+     fed by its own sink so the next refresh can patch instead of
+     recompile. *)
   let snapshot = Fib_snapshot.create () in
-  let invalidate_op tr op =
-    match op with
-    | Fib_op.Install (n, _) | Fib_op.Remove (n, _) ->
-        Fib_snapshot.invalidate_prefix snapshot (Bintrie.Node.prefix tr n)
-    | Fib_op.Update _ -> ()
-  in
   let sink tr op =
     (match tel_instruments with
     | Some (tel, fib_ops, _) when !tel_armed && not !in_recovery ->
@@ -153,7 +144,7 @@ let run_events ?(window = 100_000) ?(seed = 0x5EED)
         let dirty_before =
           (Fib_snapshot.stats snapshot).Fib_snapshot.invalidations
         in
-        invalidate_op tr op;
+        Fib_snapshot.sink snapshot tr op;
         (* invalidations count dirty transitions, not ops: a bump here
            means this op started a new dirty burst *)
         if
@@ -162,7 +153,7 @@ let run_events ?(window = 100_000) ?(seed = 0x5EED)
         then
           Cfca_telemetry.Trace.emit tel.t_trace ~time:!tel_time
             ~kind:"snapshot_invalidate" ""
-    | _ -> invalidate_op tr op);
+    | _ -> Fib_snapshot.sink snapshot tr op);
     Pipeline.sink pipeline tr op
   in
   let system = make_cached kind ~sink ~default_nh rib in

@@ -4,13 +4,15 @@
     differential audit of every domain's answers.
 
     The writer (the calling domain) owns the CFCA control plane. It
-    loads the RIB, publishes the initial compiled cover
-    ({!Cfca_dataplane.Fib_snapshot.cover} →
-    {!Cfca_mt.Plane.publish}), spawns the reader domains, and then
-    applies the configured BGP churn — each burst folded through
-    {!Cfca_core.Coalesce} to its net delta and republished as a fresh
-    generation — and collects retired generations once every reader
-    has moved past their epoch. Readers pin a generation
+    loads the RIB, compiles the initial cover
+    ({!Cfca_dataplane.Fib_snapshot.cover} → {!Cfca_mt.Plane.create}),
+    spawns the reader domains, and then applies the configured BGP
+    churn — each burst folded through {!Cfca_core.Coalesce} to its net
+    delta and republished with {!Cfca_mt.Plane.publish_delta}, from the
+    prefixes {!Cfca_core.Fib_op.changes_sink} recorded and
+    {!Cfca_dataplane.Fib_snapshot.resolve}, even when the delta is
+    empty — and collects retired generations once every reader has
+    moved past their epoch. Readers pin a generation
     per batch and answer their private, seeded address stream
     (zipf-weighted members of routed prefixes in [Warm] mode, uniform
     addresses in [Cold]) with allocation-free flat lookups, recording

@@ -190,50 +190,24 @@ let run ?(progress = fun _ -> ()) cfg =
       (Cfca_dataplane.Config.make ~l1_capacity:(of_pct cfg.l1_pct)
          ~l2_capacity:(of_pct cfg.l2_pct) ())
   in
-  let changed_tbl = Hashtbl.create 256 in
-  let changed = ref [] in
-  let dirtied = ref false in
+  (* each table's sink picks the ops that move it; the changed-prefix
+     sink feeds the plane, and the pipeline's keeps the L1/L2 caches
+     coherent (a removed entry must leave the tables before its node
+     index can be re-installed) *)
+  let record_change, take_changed = Cfca_core.Fib_op.changes_sink () in
   Cfca_core.Route_manager.set_sink rm (fun tr op ->
-      let nd, structural =
-        match op with
-        | Cfca_core.Fib_op.Install (nd, _) -> (nd, true)
-        | Cfca_core.Fib_op.Remove (nd, _) -> (nd, true)
-        | Cfca_core.Fib_op.Update (nd, _, _) -> (nd, false)
-      in
-      let p = Cfca_trie.Bintrie.Node.prefix tr nd in
-      (* the snapshot's payloads are node indices: only IN_FIB
-         membership flips dirty it. The plane's payloads are next-hops:
-         rewrites move its answers too, so [changed] records both. *)
-      if structural then begin
-        Cfca_dataplane.Fib_snapshot.invalidate_prefix snap p;
-        dirtied := true
-      end;
-      if not (Hashtbl.mem changed_tbl p) then begin
-        Hashtbl.add changed_tbl p ();
-        changed := p :: !changed
-      end;
-      (* keep the L1/L2 caches coherent: a removed entry must leave the
-         tables before its node index can be re-installed *)
+      Cfca_dataplane.Fib_snapshot.sink snap tr op;
+      record_change tr op;
       Cfca_dataplane.Pipeline.sink pipeline tr op);
   Cfca_dataplane.Fib_snapshot.refresh snap tree;
-  let fib_entries =
-    List.length (Cfca_dataplane.Fib_snapshot.cover tree)
-  in
+  let cover = Cfca_dataplane.Fib_snapshot.cover tree in
+  let fib_entries = List.length cover in
   (* -- plane ---------------------------------------------------------- *)
   let plane =
     Cfca_mt.Plane.create ~patch_budget:cfg.patch_budget
-      ~root_bits:cfg.root_bits ~readers:1 ~default_nh
-      (Cfca_dataplane.Fib_snapshot.cover tree)
+      ~root_bits:cfg.root_bits ~readers:1 ~default_nh cover
   in
   let reader = Cfca_mt.Plane.Reader.make plane 0 in
-  let resolve addr =
-    let nd = Cfca_trie.Bintrie.lookup_in_fib tree addr in
-    if Cfca_trie.Bintrie.is_nil nd then Cfca_trie.Flat_lpm.miss
-    else
-      Cfca_trie.Flat_lpm.encode
-        ~value:(Nexthop.to_int (Cfca_trie.Bintrie.Node.installed_nh tree nd))
-        ~length:(Cfca_trie.Bintrie.Node.depth tree nd)
-  in
   (* -- workload -------------------------------------------------------- *)
   let spec = Cfca_traffic.Trace.make ~packets:0 ~updates:[||] () in
   let flow = Cfca_traffic.Trace.flow_gen spec rib in
@@ -312,17 +286,14 @@ let run ?(progress = fun _ -> ()) cfg =
       Cfca_core.Coalesce.add co churn.(!next_update);
       incr next_update
     done;
-    changed := [];
-    Hashtbl.reset changed_tbl;
     let net = Cfca_core.Coalesce.flush co in
     List.iter (Cfca_core.Route_manager.apply rm) net;
-    if !dirtied then begin
-      Cfca_dataplane.Fib_snapshot.refresh snap tree;
-      dirtied := false
-    end;
-    if !changed <> [] then begin
+    Cfca_dataplane.Fib_snapshot.refresh snap tree;
+    let changed = take_changed () in
+    if changed <> [] then begin
       ignore
-        (Cfca_mt.Plane.publish_delta plane ~changed:!changed ~resolve
+        (Cfca_mt.Plane.publish_delta plane ~changed
+           ~resolve:(Cfca_dataplane.Fib_snapshot.resolve tree)
            (Cfca_dataplane.Fib_snapshot.cover tree));
       ignore (Cfca_mt.Plane.collect plane)
     end;
@@ -350,7 +321,7 @@ let run ?(progress = fun _ -> ()) cfg =
     Cfca_mt.Plane.Reader.unpin reader;
     plane_seconds := !plane_seconds +. (now () -. t2);
     if cfg.audit_every > 0 && (b + 1) mod cfg.audit_every = 0 then
-      audit_burst !changed;
+      audit_burst changed;
     sample_heap ();
     if (b + 1) mod 100 = 0 then
       progress (Printf.sprintf "burst %d/%d" (b + 1) bursts)

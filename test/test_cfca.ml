@@ -401,6 +401,46 @@ let prop_churn_accounting =
       (* in-place next-hop rewrites never change the size *)
       !ok && !updates_ >= 0)
 
+(* The changed-prefix sink over random op streams on twelve /24 nodes:
+   each distinct prefix once, the most recent first occurrence first,
+   nothing left after a take, and a second stream recorded afresh. *)
+let prop_changes_sink =
+  QCheck.Test.make ~count:200
+    ~name:"changes sink: distinct, most recent first occurrence first"
+    QCheck.(list (pair (int_bound 11) (int_bound 2)))
+    (fun ops ->
+      let tree = Bintrie.create ~default_nh in
+      let nodes =
+        Array.init 12 (fun i ->
+            Bintrie.add_route tree (Prefix.make (Ipv4.of_int (i lsl 8)) 24) 1)
+      in
+      let sink, take = Fib_op.changes_sink () in
+      let feed () =
+        List.iter
+          (fun (i, kind) ->
+            let n = nodes.(i) in
+            sink tree
+              (match kind with
+              | 0 -> Fib_op.Install (n, Bintrie.Dram)
+              | 1 -> Fib_op.Remove (n, Bintrie.Dram)
+              | _ -> Fib_op.Update (n, Bintrie.Dram, 2)))
+          ops
+      in
+      let prefix i = Bintrie.Node.prefix tree nodes.(i) in
+      let expect =
+        List.fold_left
+          (fun acc (i, _) ->
+            if List.exists (Prefix.equal (prefix i)) acc then acc
+            else prefix i :: acc)
+          [] ops
+      in
+      let same = List.equal Prefix.equal in
+      feed ();
+      let first = take () in
+      let empty = take () in
+      feed ();
+      same first expect && empty = [] && same (take ()) expect)
+
 (* -- Coalesce: burst folding into net per-prefix deltas -------------- *)
 
 let test_coalesce_algebra () =
@@ -514,6 +554,7 @@ let () =
             prop_withdraw_all_returns_to_default;
             prop_churn_accounting;
             prop_coalesce_preserves_final_fib;
+            prop_changes_sink;
           ] );
       ( "coalesce",
         [

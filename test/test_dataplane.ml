@@ -337,13 +337,7 @@ let test_fib_snapshot_updates () =
 let patching_fixture ~root_bits ~patch_budget =
   let snap = Fib_snapshot.create ~patch_budget ~root_bits () in
   let rm =
-    Route_manager.create
-      ~sink:(fun tr op ->
-        match op with
-        | Fib_op.Install (nd, _) | Fib_op.Remove (nd, _) ->
-            Fib_snapshot.invalidate_prefix snap (Bintrie.Node.prefix tr nd)
-        | Fib_op.Update _ -> ())
-      ~default_nh:9 ()
+    Route_manager.create ~sink:(Fib_snapshot.sink snap) ~default_nh:9 ()
   in
   (snap, rm)
 
@@ -399,9 +393,10 @@ let prop_patch_differential =
       !ok)
 
 (* Deterministic patch coverage + allocation gate: a short-prefix flip
-   must take the patch path, and a patched refresh must allocate
-   O(delta) — orders of magnitude under the 2^16-slot root array a
-   full recompile rebuilds. *)
+   must take the patch path, rewrite exactly the root cells of the
+   prefixes that flipped (the /12's run of 16 cells at a /16 stride,
+   not the 2^16-slot root), and allocate O(delta). A patch that
+   rewrote every root cell would fail the cell count. *)
 let test_patch_path_allocation () =
   let root_bits = 16 in
   let snap, rm = patching_fixture ~root_bits ~patch_budget:4096 in
@@ -419,18 +414,9 @@ let test_patch_path_allocation () =
   let patched_bytes = Gc.allocated_bytes () -. b0 in
   let s = Fib_snapshot.stats snap in
   check_int "refresh took the patch path" 1 s.Fib_snapshot.patches;
-  check "patch rewrote the covered cells" true (s.Fib_snapshot.patched_cells > 0);
+  check_int "patch rewrote exactly the /12's run" 16
+    s.Fib_snapshot.patched_cells;
   check "patch allocates O(delta)" true (patched_bytes < 100_000.0);
-  (* contrast: a wholesale invalidation forces the full recompile,
-     which must rebuild the 2^16-slot root (= 512 KB) *)
-  Fib_snapshot.invalidate snap;
-  let b1 = Gc.allocated_bytes () in
-  Fib_snapshot.refresh snap tree;
-  let full_bytes = Gc.allocated_bytes () -. b1 in
-  let s = Fib_snapshot.stats snap in
-  check_int "wholesale invalidation recompiles" 2 s.Fib_snapshot.full_rebuilds;
-  check "full recompile rebuilds the root array" true
-    (full_bytes > 10.0 *. patched_bytes);
   (* and the patched generation forwards correctly *)
   let st = Random.State.make [| 0xA110C |] in
   for _ = 1 to 2_000 do
@@ -441,34 +427,88 @@ let test_patch_path_allocation () =
          (Fib_snapshot.lookup snap tree a))
   done
 
+(* A clean snapshot's refresh publishes nothing, so a writer may call
+   it after every burst. *)
+let test_clean_refresh_publishes_nothing () =
+  let snap, rm = patching_fixture ~root_bits:16 ~patch_budget:4096 in
+  Route_manager.load rm
+    (List.to_seq
+       (List.init 16 (fun i -> (Prefix.make (Ipv4.of_int (i lsl 20)) 12, i + 1))));
+  let tree = Route_manager.tree rm in
+  Fib_snapshot.refresh snap tree;
+  let s0 = Fib_snapshot.stats snap in
+  Fib_snapshot.refresh snap tree;
+  let s1 = Fib_snapshot.stats snap in
+  check_int "epoch" s0.Fib_snapshot.epoch s1.Fib_snapshot.epoch;
+  check_int "full rebuilds" s0.Fib_snapshot.full_rebuilds
+    s1.Fib_snapshot.full_rebuilds;
+  check_int "patches" s0.Fib_snapshot.patches s1.Fib_snapshot.patches
+
+(* A next-hop rewrite moves no node-index payload: a change that emits
+   only Update ops leaves a snapshot fed by its sink clean, and the
+   compiled table still answers like the walk, with the new next hop. *)
+let test_update_only_stays_clean () =
+  let snap = Fib_snapshot.create () in
+  let ops = ref [] in
+  let rm =
+    Route_manager.create
+      ~sink:(fun tr op ->
+        ops := op :: !ops;
+        Fib_snapshot.sink snap tr op)
+      ~default_nh:9 ()
+  in
+  (* sixteen /12s with distinct next hops: none aggregates *)
+  Route_manager.load rm
+    (List.to_seq
+       (List.init 16 (fun i -> (Prefix.make (Ipv4.of_int (i lsl 20)) 12, i + 1))));
+  let tree = Route_manager.tree rm in
+  Fib_snapshot.refresh snap tree;
+  ops := [];
+  let s0 = Fib_snapshot.stats snap in
+  let q = Prefix.make (Ipv4.of_int (3 lsl 20)) 12 in
+  Route_manager.announce rm q 40;
+  check "the change emitted only Update ops" true
+    (!ops <> []
+    && List.for_all (function Fib_op.Update _ -> true | _ -> false) !ops);
+  check_int "no dirty transition" s0.Fib_snapshot.invalidations
+    (Fib_snapshot.stats snap).Fib_snapshot.invalidations;
+  let st = Random.State.make [| 0xC1EA |] in
+  let probes = Cfca_check.Oracle.addresses_of q st in
+  List.iter
+    (fun a ->
+      let nd = Fib_snapshot.lookup snap tree a in
+      check "agreement" true
+        (Bintrie.Node.equal (Bintrie.lookup_in_fib tree a) nd);
+      check_int "the new next hop" 40 (Bintrie.Node.installed_nh tree nd))
+    probes;
+  let s1 = Fib_snapshot.stats snap in
+  check_int "every probe answered compiled" (List.length probes)
+    (s1.Fib_snapshot.fast_hits - s0.Fib_snapshot.fast_hits);
+  check_int "no refresh" s0.Fib_snapshot.epoch s1.Fib_snapshot.epoch
+
 (* -- typed patch refusals ---------------------------------------- *)
 
 module Plane = Cfca_mt.Plane
 
 (* One control plane feeding both compiled tables, the snapshot at a /16
-   root stride and the plane at [root_bits] (default 16): the snapshot
-   hears every IN_FIB flip, and the plane's delta collects every
-   changed prefix (next-hop rewrites included, since its payloads are
-   next-hops). *)
+   root stride and the plane at [root_bits] (default 16), each through
+   its own sink: the snapshot's hears every IN_FIB flip, and the
+   changed-prefix sink collects the plane's delta. *)
 type rig = {
   rm : Route_manager.t;
   snap : Fib_snapshot.t;
   plane : Plane.t;
-  delta : (Prefix.t, unit) Hashtbl.t;
+  take : unit -> Prefix.t list;
 }
 
 let refusal_rig ?(root_bits = 16) ~patch_budget routes =
   let snap = Fib_snapshot.create ~patch_budget ~root_bits:16 () in
-  let delta = Hashtbl.create 64 in
+  let record, take = Fib_op.changes_sink () in
   let rm =
     Route_manager.create
       ~sink:(fun tr op ->
-        let p nd = Bintrie.Node.prefix tr nd in
-        match op with
-        | Fib_op.Install (nd, _) | Fib_op.Remove (nd, _) ->
-            Fib_snapshot.invalidate_prefix snap (p nd);
-            Hashtbl.replace delta (p nd) ()
-        | Fib_op.Update (nd, _, _) -> Hashtbl.replace delta (p nd) ())
+        Fib_snapshot.sink snap tr op;
+        record tr op)
       ~default_nh:9 ()
   in
   Route_manager.load rm (List.to_seq routes);
@@ -478,21 +518,10 @@ let refusal_rig ?(root_bits = 16) ~patch_budget routes =
     Plane.create ~patch_budget ~root_bits ~readers:1 ~default_nh:9
       (Fib_snapshot.cover tree)
   in
-  Hashtbl.reset delta;
-  { rm; snap; plane; delta }
+  ignore (take ());
+  { rm; snap; plane; take }
 
-let take_delta r =
-  let d = Hashtbl.fold (fun p () acc -> p :: acc) r.delta [] in
-  Hashtbl.reset r.delta;
-  d
-
-let plane_resolve r addr =
-  let tree = Route_manager.tree r.rm in
-  let nd = Bintrie.lookup_in_fib tree addr in
-  if Bintrie.is_nil nd then Flat_lpm.miss
-  else
-    Flat_lpm.encode ~value:(Bintrie.Node.installed_nh tree nd)
-      ~length:(Bintrie.Node.depth tree nd)
+let plane_resolve r = Fib_snapshot.resolve (Route_manager.tree r.rm)
 
 (* Refresh the snapshot and publish the plane from one delta; returns
    how many of the two took the patch path. *)
@@ -560,7 +589,7 @@ let test_refusal_over_budget () =
   in
   (* fragmenting a /12 removes it from the FIB: a 16-cell delta *)
   Route_manager.announce r.rm (Prefix.make (Ipv4.of_int (1 lsl 20)) 14) 40;
-  let delta = take_delta r in
+  let delta = r.take () in
   let table () = Flat_lpm.copy (Plane.current r.plane).Plane.g_flat in
   check "refused as over budget" true
     (Flat_lpm.patch (table ()) ~budget:8 ~resolve:(plane_resolve r) delta
@@ -588,10 +617,10 @@ let test_refusal_orphaned_spill () =
     for j = 43 * b to (43 * b) + 42 do
       Route_manager.announce r.rm (host j) 3
     done;
-    check_int "warm-up burst patched both tables" 2 (publish r (take_delta r))
+    check_int "warm-up burst patched both tables" 2 (publish r (r.take ()))
   done;
   Route_manager.announce r.rm (host 200) 3;
-  let delta = take_delta r in
+  let delta = r.take () in
   let table = (Plane.current r.plane).Plane.g_flat in
   check "refused as orphaned spill" true
     (Flat_lpm.patch (Flat_lpm.copy table) ~budget:4096
@@ -600,7 +629,7 @@ let test_refusal_orphaned_spill () =
   check_fallback "orphaned spill" r delta;
   (* the full build compacted the spill: patching resumes *)
   Route_manager.announce r.rm (host 201) 3;
-  check_int "patching resumes after the rebuild" 2 (publish r (take_delta r))
+  check_int "patching resumes after the rebuild" 2 (publish r (r.take ()))
 
 (* -- recycled roots and the shared spill ----------------------------- *)
 
@@ -674,6 +703,25 @@ let agrees_with_fresh label flat cover probes =
           (Ipv4.to_string a))
     probes
 
+(* The plane's resolver is the cover's longest match: on random CFCA
+   trees, at the boundaries of every cover entry, it answers like a
+   fresh build of [cover tree]. *)
+let prop_resolve_is_cover_lookup =
+  QCheck.Test.make ~count:40 ~name:"resolve = lookup in a build of the cover"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 0x2E5 |] in
+      let rm = Route_manager.create ~default_nh:9 () in
+      Route_manager.load rm
+        (Seq.init 120 (fun i ->
+             (Prefix.random st ~min_len:4 ~max_len:30 (), 1 + (i mod 7))));
+      let tree = Route_manager.tree rm in
+      let cover = Fib_snapshot.cover tree in
+      let fresh = Flat_lpm.build cover in
+      List.for_all
+        (fun a -> Fib_snapshot.resolve tree a = Flat_lpm.lookup fresh a)
+        (List.concat_map (fun (q, _) -> boundary_probes st q) cover))
+
 (* One reader that unpins between publishes: every patched publish
    after the first reuses the root the collect before it freed, so it
    allocates far less than a /24 root, and every generation answers
@@ -693,7 +741,7 @@ let test_recycled_root_single_reader () =
   while !patched < 50 && !burst < 100 do
     incr burst;
     random_burst r st routes announced 8;
-    let delta = take_delta r in
+    let delta = r.take () in
     probes := List.concat_map (boundary_probes st) delta @ !probes;
     let cover = Fib_snapshot.cover tree in
     if !burst = 25 then ignore (Plane.publish r.plane cover)
@@ -731,7 +779,7 @@ let recycling_plane seed =
   let cover () = Fib_snapshot.cover (Route_manager.tree r.rm) in
   let burst () =
     random_burst r st routes announced 8;
-    take_delta r
+    r.take ()
   in
   let publish_burst () =
     let delta = burst () in
@@ -827,6 +875,10 @@ let () =
             test_patch_path_allocation;
           Alcotest.test_case "full rebuild reuses the root" `Quick
             test_full_refresh_reuses_root;
+          Alcotest.test_case "a clean refresh publishes nothing" `Quick
+            test_clean_refresh_publishes_nothing;
+          Alcotest.test_case "next-hop rewrites leave it clean" `Quick
+            test_update_only_stays_clean;
         ] );
       ( "refusals",
         [
@@ -869,5 +921,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_residency_exclusive;
           QCheck_alcotest.to_alcotest prop_patch_differential;
+          QCheck_alcotest.to_alcotest prop_resolve_is_cover_lookup;
         ] );
     ]
